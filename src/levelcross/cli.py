@@ -372,13 +372,11 @@ def cmd_sweep(args) -> int:
 
     axis_names = [a[0] for a in spec.axes]
     columns = axis_names + [q for q in quantities] + ["quad_error", "converged"]
-    rows = []
-    any_failed = False
-    for pt, res in zip(points, results):
-        row = {**{n: pt[n] for n in axis_names}, **{c: res.get(c) for c in columns if c not in pt}}
-        if not res.get("converged", False) and "error" in res:
-            any_failed = True
-        rows.append(row)
+    rows = [
+        {**{n: pt[n] for n in axis_names}, **{c: res.get(c) for c in columns if c not in pt}}
+        for pt, res in zip(points, results)
+    ]
+    any_failed = not all(row["converged"] for row in rows)
 
     csv_lines = []
     for col in columns:

@@ -14,9 +14,24 @@ independent product -- which this module evaluates in closed form through
 an erf/Owen's-T bracket parametrized by four lag-dependent quantities
 (alpha, beta, gamma, delta).
 
-Three numerical regimes are handled explicitly:
+Where each piece comes from:
 
-* short lags (t < 1e-3 tau_slow): the denominators of alpha and beta are
+* ``erf`` and ``owens_t`` are the library functions re-exported by
+  :mod:`levelcross.special` (``math.erf``, ``scipy.special.owens_t``);
+* ``_bracket`` is the only copy of the erf/Owen's-T bracket, for up- and
+  total crossings; the Monte Carlo module's theorem closed forms divide it
+  by sqrt(alpha beta);
+* ``integrand_up`` and ``integrand_total`` share one body; the zero-level
+  arctan integrands are kept apart as an independent reference;
+* ``_assemble`` is the only variance-assembly path (validity gate,
+  breakpoints, mean + 2 int I, clamping) behind ``variance_count``,
+  ``variance_rate_asymptotic``, ``fano`` and ``zero_level_stats``;
+* the quadrature is :mod:`levelcross.quadrature`, the validity gate
+  :func:`levelcross.kernels.check_validity`.
+
+Three numerical regimes of the integrand are handled explicitly:
+
+* short lags (t < 0.1 series_scale): the denominators of alpha and beta are
   0/0; they are evaluated from exact polynomial forms built out of the
   kernel's one-sided Taylor coefficients, where the leading cancellations
   happen exactly in coefficient space;
@@ -39,12 +54,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .kernels import Kernel, check_validity
-from .quadrature import (
-    QuadratureResult,
-    QuadratureSpec,
-    integrate_finite,
-    integrate_semi_infinite,
-)
+from .quadrature import QuadratureSpec, integrate_finite, integrate_semi_infinite
 from .special import erf, owens_t
 
 __all__ = [
@@ -222,40 +232,29 @@ def abg_params(kernel: Kernel, u: float, t: float) -> CrossingParams:
 
 # -- closed-form integrands ---------------------------------------------------
 
-def _bracket_up(alpha: float, beta: float, gamma: float) -> float:
-    """The erf/Owen's-T bracket of the upcrossing excess integrand.
+def _bracket(alpha: float, beta: float, gamma: float, total: bool) -> float:
+    """The erf/Owen's-T bracket of the excess integrand.
 
-    Written with non-positive exponents only: the exp(alpha^2 gamma^2/(a+b))
-    factor of the erf term is absorbed so nothing overflows for large gamma.
+    Upcrossings by default; ``total`` gives the total-crossing bracket (note
+    its T - 1/8 structure).  Divided by sqrt(alpha beta) it is the closed
+    form of the canonical wedge (full-plane) integral.  Written with
+    non-positive exponents only: the exp(alpha^2 gamma^2/(a+b)) factor of
+    the erf term is absorbed so nothing overflows for large gamma.
     """
     apb = alpha + beta
     ab = alpha * beta
     sab = math.sqrt(ab)
     h = gamma * math.sqrt(2.0 * ab / apb)
-    a_ratio = math.sqrt(alpha / beta)
     erf_term = (
         math.exp(-alpha * gamma * gamma)
         + _SQRT_PI * gamma * math.sqrt(apb) * math.exp(-0.5 * h * h)
         * erf(alpha * gamma / math.sqrt(apb))
     )
     coef = (alpha - beta - 2.0 * ab * gamma * gamma) / ab
-    return erf_term / (2.0 * sab) + math.pi * coef * owens_t(h, a_ratio)
-
-
-def _bracket_total(alpha: float, beta: float, gamma: float) -> float:
-    """Same bracket for total crossings (note the T - 1/8 structure)."""
-    apb = alpha + beta
-    ab = alpha * beta
-    sab = math.sqrt(ab)
-    h = gamma * math.sqrt(2.0 * ab / apb)
-    a_ratio = math.sqrt(alpha / beta)
-    erf_term = (
-        math.exp(-alpha * gamma * gamma)
-        + _SQRT_PI * gamma * math.sqrt(apb) * math.exp(-0.5 * h * h)
-        * erf(alpha * gamma / math.sqrt(apb))
-    )
-    coef = (alpha - beta - 2.0 * ab * gamma * gamma) / ab
-    return 2.0 * erf_term / sab + 4.0 * math.pi * coef * (owens_t(h, a_ratio) - 0.125)
+    t_val = float(owens_t(h, math.sqrt(alpha / beta)))
+    if total:
+        return 2.0 * erf_term / sab + 4.0 * math.pi * coef * (t_val - 0.125)
+    return erf_term / (2.0 * sab) + math.pi * coef * t_val
 
 
 def _weak_correlation_level(kernel: Kernel, d) -> float:
@@ -345,32 +344,28 @@ def _linearized(kernel: Kernel, u: float, d, total: bool) -> float:
     return fpx2 * acc
 
 
-def integrand_up(kernel: Kernel, u: float, t: float) -> float:
-    """Excess two-point upcrossing intensity at lag t (the variance integrand)."""
-    r0 = kernel.r0
-    q0 = kernel.q0
+def _excess(kernel: Kernel, u: float, t: float, total: bool) -> float:
+    """The body of ``integrand_up`` (``total`` False) and ``integrand_total``."""
     if t >= _SERIES_FRACTION * kernel.series_scale:
         d = kernel.eval(t)
         if _weak_correlation_level(kernel, d) < _WEAK_CORRELATION:
-            return _linearized(kernel, u, d, total=False)
+            return _linearized(kernel, u, d, total)
     prm = abg_params(kernel, u, t)
     pref = math.exp(-prm.delta * u * u) / (4.0 * math.pi**2 * math.sqrt(prm.rr_diff))
-    product = q0 / r0 * math.exp(-u * u / r0) / (4.0 * math.pi**2)
-    return pref * _bracket_up(prm.alpha, prm.beta, prm.gamma) - product
+    product = kernel.q0 / kernel.r0 * math.exp(-u * u / kernel.r0) / (
+        math.pi**2 if total else 4.0 * math.pi**2
+    )
+    return pref * _bracket(prm.alpha, prm.beta, prm.gamma, total) - product
+
+
+def integrand_up(kernel: Kernel, u: float, t: float) -> float:
+    """Excess two-point upcrossing intensity at lag t (the variance integrand)."""
+    return _excess(kernel, u, t, total=False)
 
 
 def integrand_total(kernel: Kernel, u: float, t: float) -> float:
     """Excess two-point total-crossing intensity at lag t."""
-    r0 = kernel.r0
-    q0 = kernel.q0
-    if t >= _SERIES_FRACTION * kernel.series_scale:
-        d = kernel.eval(t)
-        if _weak_correlation_level(kernel, d) < _WEAK_CORRELATION:
-            return _linearized(kernel, u, d, total=True)
-    prm = abg_params(kernel, u, t)
-    pref = math.exp(-prm.delta * u * u) / (4.0 * math.pi**2 * math.sqrt(prm.rr_diff))
-    product = q0 / r0 * math.exp(-u * u / r0) / math.pi**2
-    return pref * _bracket_total(prm.alpha, prm.beta, prm.gamma) - product
+    return _excess(kernel, u, t, total=True)
 
 
 def _integrand_zero_up(kernel: Kernel, t: float) -> float:
@@ -434,17 +429,59 @@ def _lag_spec(kernel: Kernel, spec: QuadratureSpec | None) -> QuadratureSpec:
     )
 
 
-def _gate(kernel: Kernel) -> tuple[list[str], None]:
+def _gate(kernel: Kernel) -> list[str]:
     """Validity gate: the short-lag condition is hard, tail issues are warnings."""
     report = check_validity(kernel)
     if not report.passed("short_lag_integrable") or not report.passed("positive_moments"):
         raise ValidityError(f"kernel fails validity checks: {report.checks}")
-    warnings = [
+    return [
         f"validity check {name!r} not satisfied: {detail}"
         for name, (ok, detail) in report.checks.items()
         if not ok
     ]
-    return warnings, None
+
+
+def _assemble(
+    kernel: Kernel,
+    u: float,
+    mode: CrossingMode,
+    f,
+    T: float | None,
+    spec: QuadratureSpec | None,
+) -> CrossingStats:
+    """The one variance-assembly path: mean + 2 int_0^inf f, or for a window
+    of length T, mean + 2T int_0^T (1-t/T) f, with breakpoints at multiples
+    of tau_slow.  A negative result within 10x the quadrature error is
+    clamped to 0 with a warning; beyond that it is a bug signal and raises.
+    """
+    mean = mean_rate(kernel, u, mode) if T is None else mean_count(kernel, u, T, mode)
+    warnings = _gate(kernel)
+    inner = _lag_spec(kernel, spec)
+    if T is None:
+        result = integrate_semi_infinite(f, 0.0, inner)
+        scale = 2.0
+    else:
+        tau = kernel.tau_slow
+        breaks = tuple(m * tau for m in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0) if m * tau < T)
+        inner = replace(inner, breakpoints=breaks)
+        result = integrate_finite(lambda t: (1.0 - t / T) * f(t), 0.0, T, inner)
+        scale = 2.0 * T
+    raw = mean + scale * result.value
+    quad_error = scale * result.error
+    if raw < 0.0:
+        if raw < -10.0 * max(quad_error, 1e-300):
+            raise NegativeVarianceError(
+                f"variance {raw} negative beyond 10x quadrature error {quad_error}"
+            )
+        warnings.append(f"raw variance {raw} clamped to 0 (within quadrature error)")
+        raw = 0.0
+    return CrossingStats(
+        mode=mode, u=float(u), mean=mean, variance=raw,
+        fano=raw / mean if T is None and mean > 0 else None,
+        horizon=None if T is None else float(T), quad_error=quad_error,
+        quad_converged=result.converged, evaluations=result.evaluations,
+        warnings=tuple(warnings),
+    )
 
 
 def variance_count(
@@ -456,37 +493,7 @@ def variance_count(
 ) -> CrossingStats:
     """Finite-horizon crossing-count variance: mean + 2T int_0^T (1-t/T) I dt."""
     mode = _mode(mode)
-    if T <= 0.0:
-        raise ValueError(f"horizon must be > 0 (got {T})")
-    warnings, _ = _gate(kernel)
-    inner = _lag_spec(kernel, spec)
-    tau = kernel.tau_slow
-    breaks = tuple(m * tau for m in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0) if m * tau < T)
-    inner = replace(inner, breakpoints=breaks)
-    f = _pick_integrand(kernel, u, mode)
-    result = integrate_finite(lambda t: (1.0 - t / T) * f(t), 0.0, T, inner)
-    mean = mean_count(kernel, u, T, mode)
-    raw = mean + 2.0 * T * result.value
-    quad_error = 2.0 * T * result.error
-    if raw < 0.0:
-        if raw < -10.0 * max(quad_error, 1e-300):
-            raise NegativeVarianceError(
-                f"variance {raw} negative beyond 10x quadrature error {quad_error}"
-            )
-        warnings = warnings + [f"raw variance {raw} clamped to 0 (within quadrature error)"]
-        raw = 0.0
-    return CrossingStats(
-        mode=mode, u=float(u), mean=mean, variance=raw, fano=None, horizon=float(T),
-        quad_error=quad_error, quad_converged=result.converged,
-        evaluations=result.evaluations, warnings=tuple(warnings),
-    )
-
-
-def _excess_integral(
-    kernel: Kernel, u: float, mode: CrossingMode, spec: QuadratureSpec | None
-) -> QuadratureResult:
-    inner = _lag_spec(kernel, spec)
-    return integrate_semi_infinite(_pick_integrand(kernel, u, mode), 0.0, inner)
+    return _assemble(kernel, u, mode, _pick_integrand(kernel, u, mode), T, spec)
 
 
 def variance_rate_asymptotic(
@@ -494,36 +501,15 @@ def variance_rate_asymptotic(
 ) -> CrossingStats:
     """Long-time variance per unit time: mean rate + 2 int_0^inf I dt."""
     mode = _mode(mode)
-    warnings, _ = _gate(kernel)
-    result = _excess_integral(kernel, u, mode, spec)
-    rate = mean_rate(kernel, u, mode)
-    raw = rate + 2.0 * result.value
-    quad_error = 2.0 * result.error
-    if raw < 0.0:
-        if raw < -10.0 * max(quad_error, 1e-300):
-            raise NegativeVarianceError(
-                f"variance rate {raw} negative beyond 10x quadrature error {quad_error}"
-            )
-        warnings = warnings + [f"raw variance rate {raw} clamped to 0"]
-        raw = 0.0
-    return CrossingStats(
-        mode=mode, u=float(u), mean=rate, variance=raw, fano=raw / rate if rate > 0 else None,
-        horizon=None, quad_error=quad_error, quad_converged=result.converged,
-        evaluations=result.evaluations, warnings=tuple(warnings),
-    )
+    return _assemble(kernel, u, mode, _pick_integrand(kernel, u, mode), None, spec)
 
 
 def fano(
     kernel: Kernel, u: float, mode=CrossingMode.UP, spec: QuadratureSpec | None = None
-) -> float:
-    """Long-time Fano factor 1 + (4pi | 2pi) sqrt(r0/q0) e^{u^2/2r0} int I dt."""
-    mode = _mode(mode)
-    _gate(kernel)
-    result = _excess_integral(kernel, u, mode, spec)
-    factor = 2.0 * math.pi if mode is CrossingMode.TOTAL else 4.0 * math.pi
-    return 1.0 + factor * math.sqrt(kernel.r0 / kernel.q0) * math.exp(
-        u * u / (2.0 * kernel.r0)
-    ) * result.value
+) -> float | None:
+    """Long-time Fano factor: the variance rate over the mean rate (None if
+    the mean rate underflows to 0)."""
+    return variance_rate_asymptotic(kernel, u, mode, spec).fano
 
 
 def zero_level_stats(
@@ -538,34 +524,8 @@ def zero_level_stats(
     T=None computes the asymptotic rates, otherwise the finite-T variance.
     """
     mode = _mode(mode)
-    warnings, _ = _gate(kernel)
-    if mode is CrossingMode.TOTAL:
-        f = lambda t: _integrand_zero_total(kernel, t)  # noqa: E731
-    else:
-        f = lambda t: _integrand_zero_up(kernel, t)  # noqa: E731
-    inner = _lag_spec(kernel, spec)
-    if T is None:
-        result = integrate_semi_infinite(f, 0.0, inner)
-        rate = mean_rate(kernel, 0.0, mode)
-        var = rate + 2.0 * result.value
-        return CrossingStats(
-            mode=mode, u=0.0, mean=rate, variance=max(var, 0.0),
-            fano=var / rate, horizon=None, quad_error=2.0 * result.error,
-            quad_converged=result.converged, evaluations=result.evaluations,
-            warnings=tuple(warnings),
-        )
-    tau = kernel.tau_slow
-    breaks = tuple(m * tau for m in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0) if m * tau < T)
-    inner = replace(inner, breakpoints=breaks)
-    result = integrate_finite(lambda t: (1.0 - t / T) * f(t), 0.0, T, inner)
-    mean = mean_count(kernel, 0.0, T, mode)
-    var = mean + 2.0 * T * result.value
-    return CrossingStats(
-        mode=mode, u=0.0, mean=mean, variance=max(var, 0.0), fano=None,
-        horizon=float(T), quad_error=2.0 * T * result.error,
-        quad_converged=result.converged, evaluations=result.evaluations,
-        warnings=tuple(warnings),
-    )
+    zero = _integrand_zero_total if mode is CrossingMode.TOTAL else _integrand_zero_up
+    return _assemble(kernel, 0.0, mode, lambda t: zero(kernel, t), T, spec)
 
 
 def _unit_kernel(family: str, shape: dict) -> Kernel:

@@ -456,7 +456,7 @@ def check_validity(kernel, grid: np.ndarray | None = None, eps: float | None = N
     r0 = kernel.r0
     q0 = kernel.q0
     if grid is None:
-        grid = np.geomspace(1e-6 * tau, 20.0 * tau, 512)
+        grid = default_lag_grid(kernel)
     if eps is None:
         eps = 0.1 * tau
     checks: dict = {}

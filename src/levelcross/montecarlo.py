@@ -35,7 +35,7 @@ from scipy.integrate import dblquad, nquad, quad
 from scipy.linalg import expm, solve_lyapunov
 from scipy.special import erfcx as _erfcx
 
-from .crossings import CrossingMode, DegenerateLagError, _mode
+from .crossings import CrossingMode, DegenerateLagError, _bracket, _mode
 from .kernels import Kernel
 from .special import erf, erfc, owens_t
 
@@ -683,36 +683,12 @@ def bruteforce_integrand_total(kernel: Kernel, u: float, t: float) -> float:
 
 def theorem_up_closed_form(alpha: float, beta: float, gamma: float) -> float:
     """Closed form of the wedge integral int_{|x|<y} (y^2-x^2) e^{-a(x-g)^2-b y^2}."""
-    apb = alpha + beta
-    ab = alpha * beta
-    h = gamma * math.sqrt(2.0 * ab / apb)
-    first = (
-        math.exp(-alpha * gamma * gamma)
-        + _SQRT_PI * gamma * math.sqrt(apb) * math.exp(-0.5 * h * h)
-        * erf(alpha * gamma / math.sqrt(apb))
-    ) / (2.0 * ab)
-    second = (
-        math.pi * (alpha - beta - 2.0 * ab * gamma * gamma) / ab**1.5
-        * owens_t(h, math.sqrt(alpha / beta))
-    )
-    return first + second
+    return _bracket(alpha, beta, gamma, False) / math.sqrt(alpha * beta)
 
 
 def theorem_total_closed_form(alpha: float, beta: float, gamma: float) -> float:
     """Closed form of the full-plane integral with |y^2-x^2| weight."""
-    apb = alpha + beta
-    ab = alpha * beta
-    h = gamma * math.sqrt(2.0 * ab / apb)
-    first = 2.0 * (
-        math.exp(-alpha * gamma * gamma)
-        + _SQRT_PI * gamma * math.sqrt(apb) * math.exp(-0.5 * h * h)
-        * erf(alpha * gamma / math.sqrt(apb))
-    ) / ab
-    second = (
-        4.0 * math.pi * (alpha - beta - 2.0 * ab * gamma * gamma) / ab**1.5
-        * (owens_t(h, math.sqrt(alpha / beta)) - 0.125)
-    )
-    return first + second
+    return _bracket(alpha, beta, gamma, True) / math.sqrt(alpha * beta)
 
 
 def bruteforce_theorem_integrals(alpha: float, beta: float, gamma: float) -> tuple[float, float]:

@@ -2,108 +2,20 @@
 levelcross.special
 ==================
 
-High-accuracy scalar special functions used by the closed-form crossing
-statistics: the error function pair ``erf``/``erfc`` and Owen's T function
+The special functions of the closed-form crossing statistics, taken from
+libraries: the error function pair ``erf``/``erfc`` from :mod:`math` (the
+C library's implementations, odd-symmetric and with erfc accurate in the
+far tail), and Owen's T function
 
-    T(h, a) = (1/2pi) * integral_0^a exp(-h^2 (1+t^2)/2) / (1+t^2) dt.
+    T(h, a) = (1/2pi) * integral_0^a exp(-h^2 (1+t^2)/2) / (1+t^2) dt
 
-``erf``/``erfc`` delegate to the C library implementations (absolute error
-below 1e-15 for erf, relative error below 1e-13 for erfc out to x ~ 26)
-behind an explicit odd-symmetry reduction, so erf(-x) == -erf(x) exactly.
-
-``owens_t`` is computed from the defining integral with a composite
-Gauss-Legendre rule after exact argument reduction: |h| by evenness, the
-sign of ``a`` by oddness, and |a| > 1 through the standard complement
-identity
-
-    T(h, a) = (Phi(h) + Phi(a h))/2 - Phi(h) Phi(a h) - T(a h, 1/a),
-
-where Phi is the standard normal CDF.  All functions are scalar,
-deterministic, and table-free.
+from :func:`scipy.special.owens_t` (Patefield & Tandy 2000).  This module
+holds no numerical code of its own; it is the one place the package and
+its tests take these functions from.
 """
 
-from __future__ import annotations
+from math import erf, erfc
 
-import math
-
-import numpy as np
+from scipy.special import owens_t
 
 __all__ = ["erf", "erfc", "owens_t"]
-
-_SQRT1_2 = math.sqrt(0.5)
-
-# 24-point Gauss-Legendre nodes/weights on [-1, 1]; computed once, at import,
-# from the Golub-Welsch eigenvalue routine (deterministic to machine precision).
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
-
-
-def erf(x: float) -> float:
-    """Error function with exact odd-symmetry reduction."""
-    ax = abs(x)
-    val = math.erf(ax)
-    return -val if x < 0.0 else val
-
-
-def erfc(x: float) -> float:
-    """Complementary error function, 1 - erf(x), without premature underflow."""
-    return math.erfc(x)
-
-
-def _norm_cdf(x: float) -> float:
-    # Phi(x) via erfc for accuracy in the lower tail.
-    return 0.5 * math.erfc(-x * _SQRT1_2)
-
-
-def _owens_t_core(h: float, a: float) -> float:
-    """T(h, a) for h >= 0, a > 0, by composite Gauss-Legendre quadrature.
-
-    The integrand exp(-h^2 (1+t^2)/2)/(1+t^2) is analytic on [0, a]; its
-    variation scale in t is ~1/h, so the panel count grows with h*a.  The
-    range is capped at t = 48/h, beyond which the integrand is below the
-    underflow threshold relative to the total.  Beyond h ~ 38 the result
-    underflows below 1e-300 and 0 is returned.
-    """
-    if h > 38.0:
-        return 0.0
-    if h > 0.0:
-        a = min(a, 48.0 / h)
-    panels = 1 + int(h * a)
-    width = a / panels
-    half = 0.5 * width
-    total = 0.0
-    for k in range(panels):
-        mid = (k + 0.5) * width
-        t = mid + half * _GL_NODES
-        total += half * float(
-            np.dot(_GL_WEIGHTS, np.exp(-0.5 * h * h * (1.0 + t * t)) / (1.0 + t * t))
-        )
-    return total / (2.0 * math.pi)
-
-
-def owens_t(h: float, a: float) -> float:
-    """Owen's T function T(h, a) for finite real arguments.
-
-    Exact argument reductions: T(-h, a) = T(h, a) and T(h, -a) = -T(h, a);
-    |a| > 1 is mapped to |a| <= 1 by the complement identity.  Absolute
-    error is below 1e-14 on the reduced domain.
-    """
-    if a == 0.0:
-        return 0.0
-    sign = 1.0
-    if a < 0.0:
-        sign = -1.0
-        a = -a
-    h = abs(h)
-    if h == 0.0:
-        return sign * math.atan(a) / (2.0 * math.pi)
-    if a <= 1.0 or h >= 2.0:
-        # Direct quadrature.  For a > 1 this needs h >= 2 so the panel width
-        # ~1/h resolves the 1/(1+t^2) factor; it also avoids the severe
-        # cancellation the complement identity suffers at large h, keeping
-        # full relative accuracy deep in the tail.
-        return sign * _owens_t_core(h, a)
-    ah = a * h
-    phi_h = _norm_cdf(h)
-    phi_ah = _norm_cdf(ah)
-    val = 0.5 * (phi_h + phi_ah) - phi_h * phi_ah - _owens_t_core(ah, 1.0 / a)
-    return sign * val

@@ -146,6 +146,19 @@ class TestSweep:
         rows = json.loads(out.read_text())
         assert len(rows) == 2 and rows[0]["converged"] is True
 
+    def test_nonconverged_rows_exit_numeric(self, capsys, tmp_path):
+        # rq with alpha_shape 0.75 does not converge at default settings; the
+        # sweep still writes every row but exits with the non-convergence code.
+        out = tmp_path / "sweep.csv"
+        code, text, _ = run(capsys, "sweep", "--kernel", "rq", "--alpha-shape", "0.75",
+                            "--axis", "u:0:1:2", "--quantity", "fano", "--out", str(out))
+        assert code == EXIT_NUMERIC
+        assert "wrote 2 rows" in text
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        assert len(rows) == 2
+        assert all(math.isfinite(float(r["fano"])) for r in rows)
+
     def test_grid_row_major(self):
         spec = SweepSpec("se", {}, [("u", 0.0, 1.0, 2, "lin"),
                                     ("tau", 1.0, 2.0, 2, "lin")],

@@ -201,9 +201,10 @@ class TestZeroLevel:
                 assert z.fano == pytest.approx(g.fano, rel=1e-10)
 
     def test_finite_horizon_variant(self):
-        z = zero_level_stats(SDHO, 50.0, "up")
-        g = variance_count(SDHO, 0.0, 50.0, "up")
-        assert z.variance == pytest.approx(g.variance, rel=1e-10)
+        for mode in ("up", "total"):
+            z = zero_level_stats(SDHO, 50.0, mode)
+            g = variance_count(SDHO, 0.0, 50.0, mode)
+            assert z.variance == pytest.approx(g.variance, rel=1e-10)
 
 
 class TestDimensionless:
