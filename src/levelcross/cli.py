@@ -20,10 +20,10 @@ above 4).  Identical flags and seed produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -301,12 +301,31 @@ def _parse_axis(text: str):
     return (name, lo, hi, points, scale)
 
 
-def _sweep_point(task):
-    """Evaluate one grid point; returns a result dict (NaN + flag on failure)."""
-    family, params, u, mode, quantities, spec = task
-    row = {}
+_POINT_ERRORS = (cr.ValidityError, cr.NegativeVarianceError, cr.DegenerateLagError,
+                 IntegrationError, kn.KernelError, ArithmeticError)
+
+
+def _sweep_kernel(task):
+    """Evaluate the grid points that share one parameter set on one kernel
+    (so they share its validity gate and series tables); returns one result
+    dict per level (NaN + flag on failure)."""
+    family, params, levels, mode, quantities, spec = task
     try:
         kernel = _make_kernel(family, params)
+    except _POINT_ERRORS as exc:
+        return [_failed_row(quantities, exc) for _ in levels]
+    return [_sweep_point(kernel, u, mode, quantities, spec) for u in levels]
+
+
+def _failed_row(quantities, exc) -> dict:
+    return {**dict.fromkeys(quantities, math.nan), "quad_error": math.nan,
+            "converged": False, "error": str(exc)}
+
+
+def _sweep_point(kernel, u, mode, quantities, spec) -> dict:
+    """Evaluate one grid point; returns a result dict (NaN + flag on failure)."""
+    row = {}
+    try:
         if "mean_rate" in quantities:
             row["mean_rate"] = cr.mean_rate(kernel, u, mode)
         if "var_rate" in quantities or "fano" in quantities:
@@ -320,13 +339,8 @@ def _sweep_point(task):
         else:
             row["quad_error"] = 0.0
             row["converged"] = True
-    except (cr.ValidityError, cr.NegativeVarianceError, cr.DegenerateLagError,
-            IntegrationError, kn.KernelError, ArithmeticError) as exc:
-        for q in quantities:
-            row[q] = math.nan
-        row["quad_error"] = math.nan
-        row["converged"] = False
-        row["error"] = str(exc)
+    except _POINT_ERRORS as exc:
+        return _failed_row(quantities, exc)
     return row
 
 
@@ -354,21 +368,20 @@ def cmd_sweep(args) -> int:
         args.out, args.json,
     )
     points = spec.grid()
-    tasks = []
-    for pt in points:
-        params = dict(spec.fixed)
-        u = args.u
-        for name, val in pt.items():
-            if name == "u":
-                u = val
-            else:
-                params[name] = val
-        tasks.append((spec.family, params, u, spec.mode, tuple(quantities), spec.spec))
+    # One task per distinct parameter set: its points' indices, in grid order.
+    groups: dict[tuple, list[int]] = {}
+    for i, pt in enumerate(points):
+        groups.setdefault(tuple((k, v) for k, v in pt.items() if k != "u"), []).append(i)
+    tasks = [(spec.family, {**spec.fixed, **dict(key)}, [points[i].get("u", args.u) for i in indices],
+              spec.mode, tuple(quantities), spec.spec) for key, indices in groups.items()]
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a parallel sweep needs it
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_sweep_point, tasks))
+            grouped = list(pool.map(_sweep_kernel, tasks))
     else:
-        results = [_sweep_point(t) for t in tasks]
+        grouped = [_sweep_kernel(t) for t in tasks]
+    by_index = dict(zip(itertools.chain(*groups.values()), itertools.chain(*grouped)))
+    results = [by_index[i] for i in range(len(points))]
 
     axis_names = [a[0] for a in spec.axes]
     columns = axis_names + [q for q in quantities] + ["quad_error", "converged"]

@@ -42,12 +42,18 @@ Three numerical regimes of the integrand are handled explicitly:
   the bracket cancels against the product term catastrophically in double
   precision, so the integrand switches to a third-order expansion in the
   lag-t correlations, whose relative error is at most of order
-  (correlation level)^2 even where the excess itself is second order.
+  (correlation level)^2 even where the excess itself is second order; it
+  is closed form, polynomials in the normalised correlations contracted
+  with unit-moment tables built at import.
+
+The validity gate's outcome and the short-lag series tables are cached on
+the kernel, so each is computed once per kernel.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -99,7 +105,7 @@ class CrossingMode(enum.Enum):
     TOTAL = "total"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CrossingParams:
     """The lag-dependent quantities of the closed-form excess integrand.
 
@@ -120,7 +126,7 @@ class CrossingParams:
     u: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CrossingStats:
     """A computed crossing statistic bundle.
 
@@ -150,14 +156,16 @@ def _mode(mode) -> CrossingMode:
 
 # -- parameter evaluation -----------------------------------------------------
 
-def _abg_polys(kernel: Kernel):
-    """Cache polynomial coefficient arrays for the short-lag series path.
+def _abg_polys(kernel: Kernel) -> np.ndarray:
+    """Cache polynomial coefficient rows for the short-lag series path.
 
-    From r(t) = sum a_k t^k builds the polynomials for p, r -+ r0 and the
+    From r(t) = sum a_k t^k builds the polynomials for p, r - r0 and the
     two denominators D_alpha = p^2 + (q - q0)(r + r0) and
     D_beta = p^2 + (q + q0)(r - r0), whose low-order coefficients cancel
     exactly (coefficient arithmetic reproduces the cancellation without
-    loss, unlike evaluating the differences at small t).
+    loss, unlike evaluating the differences at small t; which orders cancel
+    depends on the family, and their rounding residue is set to 0).  The
+    four rows share one array, so the per-kernel cache stays small.
     """
     cached = getattr(kernel, "_abg_poly_cache", None)
     if cached is not None:
@@ -171,17 +179,21 @@ def _abg_polys(kernel: Kernel):
     rm_c = a.copy()
     rm_c[0] = 0.0  # r - r0
     rm_c[1] = 0.0
-    rp_c = a.copy()
+    rp_c = rm_c.copy()
     rp_c[0] = 2.0 * a[0]  # r + r0
-    rp_c[1] = 0.0
     qm_c = q_c.copy()
     qm_c[0] = 0.0  # q - q0
     qp_c = q_c.copy()
     qp_c[0] = 2.0 * q_c[0]  # q + q0
-    p2 = np.convolve(p_c, p_c)[:n]
-    d_alpha = p2 + np.convolve(qm_c, rp_c)[:n]
-    d_beta = p2 + np.convolve(qp_c, rm_c)[:n]
-    cached = (p_c, rm_c, rp_c, d_alpha, d_beta)
+
+    def denominator(q_c, r_c):
+        # Zero the rounding residue of exact cancellations: coefficients no
+        # larger than 4 n eps times the summed magnitudes that formed them.
+        exact = np.convolve(p_c, p_c)[:n] + np.convolve(q_c, r_c)[:n]
+        bound = np.convolve(abs(p_c), abs(p_c))[:n] + np.convolve(abs(q_c), abs(r_c))[:n]
+        return np.where(abs(exact) <= 4.0 * n * np.finfo(float).eps * bound, 0.0, exact)
+
+    cached = np.array([p_c, rm_c, denominator(qm_c, rp_c), denominator(qp_c, rm_c)])
     kernel._abg_poly_cache = cached
     return cached
 
@@ -200,10 +212,10 @@ def abg_params(kernel: Kernel, u: float, t: float) -> CrossingParams:
     r0 = kernel.r0
     q0 = kernel.q0
     if t < _SERIES_FRACTION * kernel.series_scale:
-        p_c, rm_c, rp_c, da_c, db_c = _abg_polys(kernel)
+        p_c, rm_c, da_c, db_c = _abg_polys(kernel)
         p = _horner(p_c, t)
         rm = _horner(rm_c, t)       # r - r0 < 0
-        rp = _horner(rp_c, t)       # r + r0
+        rp = rm + 2.0 * r0          # r + r0
         d_alpha = _horner(da_c, t)
         d_beta = _horner(db_c, t)
     else:
@@ -257,19 +269,29 @@ def _bracket(alpha: float, beta: float, gamma: float, total: bool) -> float:
     return erf_term / (2.0 * sab) + math.pi * coef * t_val
 
 
-def _weak_correlation_level(kernel: Kernel, d) -> float:
-    scale = math.sqrt(kernel.r0 * kernel.q0)
-    return max(abs(d.r) / kernel.r0, abs(d.q) / kernel.q0, abs(d.p) / scale)
+# Basis of eta in unit velocities z = y/sqrt(q0): 1, z1 - z2, z1^2 + z2^2
+# and z1 z2, each as (coefficient, power of z1, power of z2) terms.
+_WEAK_BASIS = (((1.0, 0, 0),), ((1.0, 1, 0), (-1.0, 0, 1)), ((1.0, 2, 0), (1.0, 0, 2)), ((1.0, 1, 1),))
 
 
-def _poly2_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Multiply two bivariate polynomials stored as coefficient arrays."""
-    out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1))
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            if a[i, j] != 0.0:
-                out[i : i + b.shape[0], j : j + b.shape[1]] += a[i, j] * b
-    return out
+def _weak_moments(order: int, total: bool) -> np.ndarray:
+    """Unit moments M[k1..k_order] = int b_k1 ... b_k_order w dz1 dz2, with
+    w = z1 z2 N(z1) N(z2) on z > 0 (up) or |z1 z2| N(z1) N(z2) (total)."""
+    g = [0.5, 1.0 / math.sqrt(2.0 * math.pi)]     # int_0^inf z^n N(z) dz
+    for n in range(2, 8):
+        g.append((n - 1) * g[n - 2])
+    table = np.zeros((len(_WEAK_BASIS),) * order)
+    for ks in itertools.product(range(len(_WEAK_BASIS)), repeat=order):
+        for terms in itertools.product(*(_WEAK_BASIS[k] for k in ks)):
+            i, j = sum(t[1] for t in terms), sum(t[2] for t in terms)
+            weight = 4.0 * (i % 2 == 0 and j % 2 == 0) if total else 1.0
+            table[ks] += math.prod(t[0] for t in terms) * weight * g[i + 1] * g[j + 1]
+    return table
+
+
+# (M1, M2/2, M3/6) for upcrossings (False) and total crossings (True).
+_WEAK_TABLES = {total: tuple(_weak_moments(n, total) / math.factorial(n) for n in (1, 2, 3))
+                for total in (False, True)}
 
 
 def _linearized(kernel: Kernel, u: float, d, total: bool) -> float:
@@ -280,75 +302,33 @@ def _linearized(kernel: Kernel, u: float, d, total: bool) -> float:
     exp(eta), where eta collects the inverse-covariance correction
     (Neumann series in the correlation block, truncated after the cubic
     term) and the log-determinant correction (trace series, same order).
-    exp(eta) - 1 is then expanded through eta^3 and integrated against the
-    velocity weight using one-sided Gaussian moments.  The truncation
-    error is O(level^4) absolute, hence at most O(level^2) relative even
-    at the zero-level total-crossing point where the excess itself is
-    second order; below the 1e-4 switch level that is < 1e-8 relative.
+    Its coefficients c in ``_WEAK_BASIS`` are closed-form polynomials in
+    rho = r/r0, kappa = q/q0, pi = p/sqrt(r0 q0) and v = u/sqrt(r0).
+    exp(eta) - 1 through eta^3, integrated against the velocity weight, is
+    M1 c + c^T M2 c / 2 + M3[c, c, c] / 6.  The truncation error is
+    O(level^4) absolute, hence at most O(level^2) relative even at the
+    zero-level total-crossing point where the excess itself is second
+    order; below the 1e-4 switch level that is < 1e-8 relative.
     """
-    r0 = kernel.r0
-    q0 = kernel.q0
-    r, p, q = d.r, d.p, d.q
-    d_inv = np.diag([1.0 / r0, 1.0 / r0, 1.0 / q0, 1.0 / q0])
-    corr = np.array([
-        [0.0, r, 0.0, p],
-        [r, 0.0, -p, 0.0],
-        [0.0, -p, 0.0, q],
-        [p, 0.0, q, 0.0],
+    r0, q0 = kernel.r0, kernel.q0
+    rho, kap, pi2, v2 = d.r / r0, d.q / q0, d.p * d.p / (r0 * q0), u * u / r0
+    c = np.array([
+        0.5 * (rho * rho + kap * kap) + pi2
+        + v2 * (rho - rho * rho + rho**3 + pi2 * (2.0 * rho - 1.0 - kap)),
+        -d.p * u / (r0 * math.sqrt(q0)) * (1.0 + kap + kap * kap - rho - kap * rho + rho * rho + pi2),
+        -0.5 * (kap * kap + pi2),
+        kap + kap**3 + pi2 * (2.0 * kap - rho),
     ])
-    m = d_inv @ corr
-    a1 = m @ d_inv                      # D^-1 E D^-1
-    a2 = m @ a1
-    a3 = m @ a2
-    dq = -a1 + a2 - a3                  # inv(D + E) - D^-1, through cubic order
-    tr = np.trace
-    log_det_diff = tr(m) - 0.5 * tr(m @ m) + tr(m @ m @ m) / 3.0
-
-    # eta as a quadratic polynomial in (y1, y2) at fixed x1 = x2 = u.
-    a_vec = np.array([u, u, 0.0, 0.0])
-    lin = -(dq @ a_vec)
-    eta = np.zeros((3, 3))
-    eta[0, 0] = -0.5 * float(a_vec @ dq @ a_vec) - 0.5 * log_det_diff
-    eta[1, 0] = lin[2]
-    eta[0, 1] = lin[3]
-    eta[2, 0] = -0.5 * dq[2, 2]
-    eta[0, 2] = -0.5 * dq[3, 3]
-    eta[1, 1] = -dq[2, 3]
-
-    # exp(eta) - 1 through eta^3, still a polynomial in (y1, y2).
-    eta2 = _poly2_mul(eta, eta)
-    full = np.zeros((7, 7))
-    full[:3, :3] += eta
-    full[:5, :5] += 0.5 * eta2
-    full[:7, :7] += _poly2_mul(eta2, eta) / 6.0
-
-    # One-sided Gaussian moments g[n] = int_0^inf y^n N(0, q0) dy.
-    g = np.zeros(9)
-    g[0] = 0.5
-    g[1] = math.sqrt(q0 / (2.0 * math.pi))
-    for n in range(2, 9):
-        g[n] = (n - 1) * q0 * g[n - 2]
-
-    fpx2 = math.exp(-u * u / r0) / (2.0 * math.pi * r0)
-    acc = 0.0
-    for i in range(7):
-        for j in range(7):
-            c = full[i, j]
-            if c == 0.0:
-                continue
-            if total:
-                if i % 2 == 0 and j % 2 == 0:
-                    acc += c * 4.0 * g[i + 1] * g[j + 1]
-            else:
-                acc += c * g[i + 1] * g[j + 1]
-    return fpx2 * acc
+    m1, m2, m3 = _WEAK_TABLES[total]
+    return q0 / r0 * math.exp(-v2) / (2.0 * math.pi) * float(c @ (m1 + (m2 + m3 @ c) @ c))
 
 
 def _excess(kernel: Kernel, u: float, t: float, total: bool) -> float:
     """The body of ``integrand_up`` (``total`` False) and ``integrand_total``."""
     if t >= _SERIES_FRACTION * kernel.series_scale:
         d = kernel.eval(t)
-        if _weak_correlation_level(kernel, d) < _WEAK_CORRELATION:
+        r0, q0 = kernel.r0, kernel.q0
+        if max(abs(d.r) / r0, abs(d.q) / q0, abs(d.p) / math.sqrt(r0 * q0)) < _WEAK_CORRELATION:
             return _linearized(kernel, u, d, total)
     prm = abg_params(kernel, u, t)
     pref = math.exp(-prm.delta * u * u) / (4.0 * math.pi**2 * math.sqrt(prm.rr_diff))
@@ -429,16 +409,20 @@ def _lag_spec(kernel: Kernel, spec: QuadratureSpec | None) -> QuadratureSpec:
     )
 
 
-def _gate(kernel: Kernel) -> list[str]:
-    """Validity gate: the short-lag condition is hard, tail issues are warnings."""
-    report = check_validity(kernel)
-    if not report.passed("short_lag_integrable") or not report.passed("positive_moments"):
-        raise ValidityError(f"kernel fails validity checks: {report.checks}")
-    return [
-        f"validity check {name!r} not satisfied: {detail}"
-        for name, (ok, detail) in report.checks.items()
-        if not ok
-    ]
+def _gate(kernel: Kernel) -> tuple[str, ...]:
+    """Validity gate, run once per kernel (the outcome is cached on it): the
+    short-lag condition is hard, tail failures are warnings."""
+    cached = getattr(kernel, "_gate_cache", None)
+    if cached is None:
+        report = check_validity(kernel)
+        cached = tuple(f"validity check {name!r} not satisfied: {detail}"
+                       for name, (ok, detail) in report.checks.items() if not ok)
+        if not report.passed("short_lag_integrable") or not report.passed("positive_moments"):
+            cached = ValidityError(f"kernel fails validity checks: {report.checks}")
+        kernel._gate_cache = cached
+    if isinstance(cached, ValidityError):
+        raise ValidityError(*cached.args)
+    return cached
 
 
 def _assemble(
@@ -473,14 +457,14 @@ def _assemble(
             raise NegativeVarianceError(
                 f"variance {raw} negative beyond 10x quadrature error {quad_error}"
             )
-        warnings.append(f"raw variance {raw} clamped to 0 (within quadrature error)")
+        warnings += (f"raw variance {raw} clamped to 0 (within quadrature error)",)
         raw = 0.0
     return CrossingStats(
         mode=mode, u=float(u), mean=mean, variance=raw,
         fano=raw / mean if T is None and mean > 0 else None,
         horizon=None if T is None else float(T), quad_error=quad_error,
         quad_converged=result.converged, evaluations=result.evaluations,
-        warnings=tuple(warnings),
+        warnings=warnings,
     )
 
 

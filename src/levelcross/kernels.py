@@ -64,7 +64,9 @@ class KernelDerivatives(NamedTuple):
 class Kernel(ABC):
     """A stationary autocorrelation function with analytic derivatives.
 
-    Immutable after construction; evaluation is pure.  Attributes:
+    Immutable after construction; evaluation is pure.  The statistics cache
+    per-kernel work on it, so it must not be mutated after first use.
+    Attributes:
 
     family      short family identifier
     params      constructor parameters (dict)
@@ -87,7 +89,9 @@ class Kernel(ABC):
     shape: dict
 
     def __init__(self):
-        self._taylor: np.ndarray | None = None
+        # Crossing-statistics caches, declared so filling them keeps the instance compact.
+        self._abg_poly_cache = None
+        self._gate_cache = None
 
     def eval(self, t: float) -> KernelDerivatives:
         """Closed-form (r, p, q) at lag t >= 0."""
@@ -105,10 +109,9 @@ class Kernel(ABC):
 
     @property
     def taylor(self) -> np.ndarray:
-        if self._taylor is None:
-            self._taylor = self._taylor_coefficients()
-            self._taylor.flags.writeable = False
-        return self._taylor
+        """The series coefficients, computed on each access: the short-lag
+        tables built from them are what the statistics cache."""
+        return self._taylor_coefficients()
 
     @property
     def preferred_tail(self) -> str:

@@ -146,6 +146,25 @@ class TestSweep:
         rows = json.loads(out.read_text())
         assert len(rows) == 2 and rows[0]["converged"] is True
 
+    def test_one_kernel_per_parameter_set(self, capsys, tmp_path, monkeypatch):
+        # u is the outer axis, so each kernel's points are not adjacent in the
+        # grid; zeta = -1 is invalid and gives NaN rows that keep their place.
+        import levelcross.cli as cli
+        made = []
+        original = cli._make_kernel
+        monkeypatch.setattr(cli, "_make_kernel",
+                            lambda family, params: made.append(params["zeta"]) or original(family, params))
+        out = tmp_path / "sweep.json"
+        code, _, _ = run(capsys, "sweep", "--kernel", "sdho", "--axis", "u:0:1:3",
+                         "--axis", "zeta:-1:1:2", "--quantity", "fano", "--out", str(out))
+        assert code == EXIT_NUMERIC
+        assert made == [-1.0, 1.0]
+        rows = json.loads(out.read_text())
+        assert [(r["u"], r["zeta"]) for r in rows] == [(u, z) for u in (0.0, 0.5, 1.0)
+                                                      for z in (-1.0, 1.0)]
+        assert [r["converged"] for r in rows] == [False, True] * 3
+        assert all(math.isnan(r["fano"]) != r["converged"] for r in rows)
+
     def test_nonconverged_rows_exit_numeric(self, capsys, tmp_path):
         # rq with alpha_shape 0.75 does not converge at default settings; the
         # sweep still writes every row but exits with the non-convergence code.

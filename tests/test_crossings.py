@@ -9,6 +9,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from levelcross import crossings
 
 from levelcross.crossings import (
     CrossingMode,
@@ -24,6 +28,8 @@ from levelcross.crossings import (
     zero_level_stats,
 )
 from levelcross.kernels import (
+    KernelDerivatives,
+    ValidityReport,
     make_ou_mean_revert,
     make_rational_quadratic,
     make_sdho,
@@ -130,6 +136,128 @@ class TestIntegrands:
             exact = integrand_up(SE, 0.5, t)
             approx = _linearized(SE, 0.5, SE.eval(t), total=False)
             assert approx == pytest.approx(exact, rel=1e-7)
+
+
+def _matrix_expansion(r0, q0, u, d, total):
+    """The weak-correlation expansion built term by term: 4x4 Neumann series
+    for the inverse covariance, a trace series for the log-determinant, and
+    bivariate polynomial products of eta through eta^3, integrated against
+    one-sided Gaussian moments.  An independent oracle for the closed form."""
+    def poly2_mul(a, b):
+        out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1))
+        for i in range(a.shape[0]):
+            for j in range(a.shape[1]):
+                out[i : i + b.shape[0], j : j + b.shape[1]] += a[i, j] * b
+        return out
+
+    r, p, q = d.r, d.p, d.q
+    d_inv = np.diag([1.0 / r0, 1.0 / r0, 1.0 / q0, 1.0 / q0])
+    corr = np.array([[0.0, r, 0.0, p], [r, 0.0, -p, 0.0], [0.0, -p, 0.0, q], [p, 0.0, q, 0.0]])
+    m = d_inv @ corr
+    a1 = m @ d_inv
+    a2 = m @ a1
+    dq = -a1 + a2 - m @ a2
+    log_det_diff = np.trace(m) - 0.5 * np.trace(m @ m) + np.trace(m @ m @ m) / 3.0
+    a_vec = np.array([u, u, 0.0, 0.0])
+    lin = -(dq @ a_vec)
+    eta = np.zeros((3, 3))
+    eta[0, 0] = -0.5 * float(a_vec @ dq @ a_vec) - 0.5 * log_det_diff
+    eta[1, 0], eta[0, 1] = lin[2], lin[3]
+    eta[2, 0], eta[0, 2], eta[1, 1] = -0.5 * dq[2, 2], -0.5 * dq[3, 3], -dq[2, 3]
+    eta2 = poly2_mul(eta, eta)
+    full = np.zeros((7, 7))
+    full[:3, :3] += eta
+    full[:5, :5] += 0.5 * eta2
+    full += poly2_mul(eta2, eta) / 6.0
+    g = [0.5, math.sqrt(q0 / (2.0 * math.pi))]
+    for n in range(2, 9):
+        g.append((n - 1) * q0 * g[n - 2])
+    acc = 0.0
+    for i in range(7):
+        for j in range(7):
+            if not total:
+                acc += full[i, j] * g[i + 1] * g[j + 1]
+            elif i % 2 == 0 and j % 2 == 0:
+                acc += full[i, j] * 4.0 * g[i + 1] * g[j + 1]
+    return math.exp(-u * u / r0) / (2.0 * math.pi * r0) * acc
+
+
+class TestWeakExpansion:
+    def test_closed_form_matches_matrix_expansion(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            r0, q0 = 10.0 ** rng.uniform(-2, 2, 2)
+            level = 10.0 ** rng.uniform(-9, -4)
+            r, p, q = rng.uniform(-1, 1, 3) * level * np.array([r0, math.sqrt(r0 * q0), q0])
+            u = rng.uniform(-3, 3) * math.sqrt(r0)
+            kernel = type("Stub", (), {"r0": r0, "q0": q0})()
+            d = KernelDerivatives(r, p, q, 1.0)
+            for total in (False, True):
+                assert crossings._linearized(kernel, u, d, total) == pytest.approx(
+                    _matrix_expansion(r0, q0, u, d, total), rel=1e-12, abs=0.0
+                )
+
+
+class TestPerKernelWork:
+    def test_gate_runs_once_per_kernel(self, monkeypatch):
+        calls = []
+        original = crossings.check_validity
+        monkeypatch.setattr(crossings, "check_validity", lambda k: calls.append(k) or original(k))
+        kernel = make_sdho(1.0, 0.7, 1.0)
+        variance_rate_asymptotic(kernel, 0.5, "up")
+        variance_count(kernel, 0.5, 5.0, "total")
+        fano(kernel, 1.0, "up")
+        zero_level_stats(kernel, None, "up")
+        assert calls == [kernel]
+        assert isinstance(crossings._gate(kernel), tuple)  # callers cannot alter the cache
+
+    def test_failing_gate_raises_on_every_call(self, monkeypatch):
+        calls = []
+
+        def failing(kernel):
+            calls.append(kernel)
+            return ValidityReport(checks={"positive_moments": (True, {}),
+                                          "short_lag_integrable": (False, {})})
+
+        monkeypatch.setattr(crossings, "check_validity", failing)
+        kernel = make_sdho(1.0, 0.7, 1.0)
+        for _ in range(3):
+            with pytest.raises(crossings.ValidityError, match="short_lag_integrable"):
+                variance_rate_asymptotic(kernel, 0.5, "up")
+        assert calls == [kernel]
+
+
+class TestShortLagSeries:
+    # Squared-exponential kernels on which the rounding residue of the
+    # cancelled t^4 coefficient of D_beta once beat the true t^6 term at the
+    # first quadrature node: indices into 61 log-spaced tau on [0.5, 2].
+    _RESIDUE_CASES = {0.5: (10, 21, 24, 40, 51, 54), 1.0: (10, 21, 24, 40, 51, 54),
+                      1.8265: (0, 12, 27, 30, 42, 59, 60)}
+
+    def test_cancelled_coefficients_give_finite_statistics(self):
+        taus = np.geomspace(0.5, 2.0, 61)
+        for sigma, indices in self._RESIDUE_CASES.items():
+            for i in indices:
+                st = variance_rate_asymptotic(make_squared_exponential(sigma, taus[i]), 0.5 * sigma)
+                assert math.isfinite(st.fano) and st.quad_converged
+
+    @given(
+        family=st.sampled_from(["se", "rq"]),
+        sigma=st.floats(0.1, 10.0),
+        tau=st.floats(0.1, 10.0),
+        alpha_shape=st.floats(0.5, 5.0),
+        log_frac=st.floats(-9.0, -1.5),
+    )
+    def test_series_denominators_keep_their_sign(self, family, sigma, tau, alpha_shape, log_frac):
+        if family == "se":
+            kernel = make_squared_exponential(sigma, tau)
+        else:
+            kernel = make_rational_quadratic(sigma, tau, alpha_shape)
+        t = 10.0**log_frac * tau
+        assert t < 0.1 * kernel.series_scale  # the series path
+        prm = abg_params(kernel, 0.5 * sigma, t)
+        d_beta = crossings._horner(crossings._abg_polys(kernel)[3], t)
+        assert d_beta < 0.0 and prm.beta > 0.0
 
 
 class TestVariance:
