@@ -30,7 +30,6 @@ import numpy as np
 
 from . import crossings as cr
 from . import kernels as kn
-from . import montecarlo as mc
 from .quadrature import IntegrationError, QuadratureSpec
 
 __all__ = ["main", "cmd_stats", "cmd_sweep", "cmd_simulate", "cmd_verify", "SweepSpec"]
@@ -308,7 +307,7 @@ _POINT_ERRORS = (cr.ValidityError, cr.NegativeVarianceError, cr.DegenerateLagErr
 def _sweep_kernel(task):
     """Evaluate the grid points that share one parameter set on one kernel
     (so they share its validity gate and series tables); returns one result
-    dict per level (NaN + flag on failure)."""
+    dict per level (NaN + flag + ``error`` text on failure)."""
     family, params, levels, mode, quantities, spec = task
     try:
         kernel = _make_kernel(family, params)
@@ -319,7 +318,7 @@ def _sweep_kernel(task):
 
 def _failed_row(quantities, exc) -> dict:
     return {**dict.fromkeys(quantities, math.nan), "quad_error": math.nan,
-            "converged": False, "error": str(exc)}
+            "converged": False, "error": f"{type(exc).__name__}: {exc}"}
 
 
 def _sweep_point(kernel, u, mode, quantities, spec) -> dict:
@@ -390,6 +389,10 @@ def cmd_sweep(args) -> int:
         for pt, res in zip(points, results)
     ]
     any_failed = not all(row["converged"] for row in rows)
+    for pt, res in zip(points, results):
+        if "error" in res:  # the row raised; its values are NaN
+            where = ", ".join(f"{n}={_fmt(pt[n])}" for n in axis_names)
+            sys.stderr.write(f"sweep row {where}: {res['error']}\n")
 
     csv_lines = []
     for col in columns:
@@ -430,16 +433,17 @@ def cmd_simulate(args) -> int:
     params = {p: getattr(args, p) for p in _FAMILY_PARAMS[args.kernel]}
     kernel = _make_kernel(args.kernel, params)
     dt = args.dt_factor * kernel.tau_slow
-    if args.kernel == "sdho":
-        config = mc.SimConfig(system="sdho", params=params, T=args.horizon, dt=dt,
-                              trials=args.trials, seed=args.seed, u=args.u, mode=args.mode)
-    elif args.kernel == "ou":
-        config = mc.SimConfig(system="ou", params=params, T=args.horizon, dt=dt,
-                              trials=args.trials, seed=args.seed, u=args.u, mode=args.mode)
-    else:
-        config = mc.SimConfig(system="kernel", kernel=kernel, T=args.horizon, dt=dt,
-                              trials=args.trials, seed=args.seed, u=args.u, mode=args.mode)
-    est = mc.estimate_stats(config)
+    from . import montecarlo as mc  # scipy.integrate and scipy.linalg load with it
+    window = dict(T=args.horizon, dt=dt, trials=args.trials, seed=args.seed,
+                  u=args.u, mode=args.mode)
+    try:
+        if args.kernel in ("sdho", "ou"):  # linear systems: exact step propagation
+            config = mc.SimConfig(system=args.kernel, params=params, **window)
+        else:
+            config = mc.SimConfig(system="kernel", kernel=kernel, **window)
+        est = mc.estimate_stats(config)
+    except mc.SimulationConfigError as exc:
+        raise UsageError(str(exc)) from exc
     spec = _quad_spec(args)
     analytic = cr.variance_count(kernel, args.u, args.horizon, args.mode, spec)
     asym = cr.variance_rate_asymptotic(kernel, args.u, args.mode, spec)
@@ -481,6 +485,7 @@ _VERIFY_DEFAULTS = {"seed": 0, "draws": 50, "json": False, "out": None,
 
 
 def _verify_canonical(seed: int, draws: int) -> tuple[bool, str]:
+    from . import montecarlo as mc
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(draws):
@@ -499,6 +504,7 @@ def _verify_canonical(seed: int, draws: int) -> tuple[bool, str]:
 
 
 def _verify_lemmas(seed: int, draws: int) -> tuple[bool, str]:
+    from . import montecarlo as mc
     residuals = mc.lemma_residuals(seed=seed, draws=draws)
     worst = max(residuals.values())
     return worst <= 1e-9, f"worst rel {worst:.3e} over {len(residuals)} identities"
@@ -642,10 +648,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return EXIT_USAGE
-    except (kn.KernelError, mc.SimulationConfigError) as exc:
+    except (UsageError, kn.KernelError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
     except (cr.ValidityError, cr.NegativeVarianceError, cr.DegenerateLagError,

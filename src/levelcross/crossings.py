@@ -59,7 +59,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernels import Kernel, check_validity
+from .kernels import Kernel, KernelDerivatives, check_validity
 from .quadrature import QuadratureSpec, integrate_finite, integrate_semi_infinite
 from .special import erf, owens_t
 
@@ -205,8 +205,13 @@ def _horner(coeffs: np.ndarray, t: float) -> float:
     return acc
 
 
-def abg_params(kernel: Kernel, u: float, t: float) -> CrossingParams:
-    """The closed-form quantities (alpha, beta, gamma, delta, det) at (t, u)."""
+def abg_params(kernel: Kernel, u: float, t: float,
+               d: KernelDerivatives | None = None) -> CrossingParams:
+    """The closed-form quantities (alpha, beta, gamma, delta, det) at (t, u).
+
+    ``d`` is ``kernel.eval(t)`` when the caller already has it; the direct
+    path then skips evaluating the kernel again and the series path ignores it.
+    """
     if t <= 0.0:
         raise DegenerateLagError(f"lag must be > 0 (got {t})")
     r0 = kernel.r0
@@ -219,7 +224,8 @@ def abg_params(kernel: Kernel, u: float, t: float) -> CrossingParams:
         d_alpha = _horner(da_c, t)
         d_beta = _horner(db_c, t)
     else:
-        d = kernel.eval(t)
+        if d is None:
+            d = kernel.eval(t)
         p = d.p
         rm = d.r - r0
         rp = d.r + r0
@@ -325,12 +331,13 @@ def _linearized(kernel: Kernel, u: float, d, total: bool) -> float:
 
 def _excess(kernel: Kernel, u: float, t: float, total: bool) -> float:
     """The body of ``integrand_up`` (``total`` False) and ``integrand_total``."""
+    d = None
     if t >= _SERIES_FRACTION * kernel.series_scale:
         d = kernel.eval(t)
         r0, q0 = kernel.r0, kernel.q0
         if max(abs(d.r) / r0, abs(d.q) / q0, abs(d.p) / math.sqrt(r0 * q0)) < _WEAK_CORRELATION:
             return _linearized(kernel, u, d, total)
-    prm = abg_params(kernel, u, t)
+    prm = abg_params(kernel, u, t, d)
     pref = math.exp(-prm.delta * u * u) / (4.0 * math.pi**2 * math.sqrt(prm.rr_diff))
     product = kernel.q0 / kernel.r0 * math.exp(-u * u / kernel.r0) / (
         math.pi**2 if total else 4.0 * math.pi**2

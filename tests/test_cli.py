@@ -155,10 +155,16 @@ class TestSweep:
         monkeypatch.setattr(cli, "_make_kernel",
                             lambda family, params: made.append(params["zeta"]) or original(family, params))
         out = tmp_path / "sweep.json"
-        code, _, _ = run(capsys, "sweep", "--kernel", "sdho", "--axis", "u:0:1:3",
-                         "--axis", "zeta:-1:1:2", "--quantity", "fano", "--out", str(out))
+        code, _, err = run(capsys, "sweep", "--kernel", "sdho", "--axis", "u:0:1:3",
+                           "--axis", "zeta:-1:1:2", "--quantity", "fano", "--out", str(out))
         assert code == EXIT_NUMERIC
         assert made == [-1.0, 1.0]
+        # One stderr line per row that raised, with its axis values and the reason.
+        assert err.splitlines() == [
+            f"sweep row u={u}, zeta=-1: KernelError: zeta must be > 0 "
+            "(undamped process never decorrelates)"
+            for u in ("0", "0.5", "1")
+        ]
         rows = json.loads(out.read_text())
         assert [(r["u"], r["zeta"]) for r in rows] == [(u, z) for u in (0.0, 0.5, 1.0)
                                                       for z in (-1.0, 1.0)]
@@ -225,6 +231,13 @@ class TestSimulate:
     def test_rejects_ou_via_kernel_flag_misuse(self, capsys):
         code, _, _ = run(capsys, "simulate", "--kernel", "rq", "--trials", "x")
         assert code == EXIT_USAGE
+
+    def test_simulation_config_error_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "simulate", "--kernel", "sdho",
+                             "--dt-factor", "0.2", "--trials", "10")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("usage error: ") and "dt" in err
 
 
 class TestVerify:

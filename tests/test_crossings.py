@@ -226,6 +226,16 @@ class TestPerKernelWork:
                 variance_rate_asymptotic(kernel, 0.5, "up")
         assert calls == [kernel]
 
+    def test_direct_lag_evaluates_kernel_once(self, monkeypatch):
+        kernel = make_sdho(1.0, 0.7, 1.0)
+        expected = integrand_up(kernel, 0.5, 2.0)
+        calls = []
+        original = type(kernel).eval
+        monkeypatch.setattr(type(kernel), "eval",
+                            lambda self, t: calls.append(t) or original(self, t))
+        assert integrand_up(kernel, 0.5, 2.0) == expected
+        assert calls == [2.0]
+
 
 class TestShortLagSeries:
     # Squared-exponential kernels on which the rounding residue of the
