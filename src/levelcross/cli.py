@@ -120,7 +120,10 @@ def _coerce(key: str, raw: str, default):
     if kind is bool:
         return raw.lower() in ("1", "true", "yes", "on")
     if kind in (int, float):
-        return kind(raw)
+        try:
+            return kind(raw)
+        except ValueError as exc:
+            raise UsageError(f"config key {key!r}: {exc}") from exc
     return raw
 
 
@@ -152,20 +155,30 @@ def _merge(args: argparse.Namespace, defaults: dict) -> None:
     unknown = set(config) - set(defaults)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    for key in defaults:
+        value = getattr(args, key)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise UsageError(f"--{key.replace('_', '-')} must be finite (got {value})")
+    if getattr(args, "horizon", None) is not None and args.horizon <= 0.0:
+        raise UsageError(f"--horizon must be > 0 (got {args.horizon})")
+    if getattr(args, "jobs", 1) < 1:
+        raise UsageError(f"--jobs must be >= 1 (got {args.jobs})")
 
 
 def _quad_spec(args) -> QuadratureSpec | None:
-    overrides = {}
-    if args.rel_tol is not None:
-        overrides["rel_tol"] = args.rel_tol
-    if args.abs_tol is not None:
-        overrides["abs_tol"] = args.abs_tol
-    if args.tail_cutoff is not None:
-        overrides["tail_cutoff"] = args.tail_cutoff
-        overrides["tail"] = "cutoff"
-    if not overrides:
-        return None
-    return replace(QuadratureSpec(), **overrides)
+    """The tolerance flags as a spec (None if none is given); a value the
+    spec rejects is a usage error naming its flag."""
+    spec = None
+    for key in ("rel_tol", "abs_tol", "tail_cutoff"):
+        value = getattr(args, key)
+        if value is None:
+            continue
+        extra = {"tail": "cutoff"} if key == "tail_cutoff" else {}
+        try:
+            spec = replace(spec or QuadratureSpec(), **{key: value}, **extra)
+        except ValueError as exc:
+            raise UsageError(f"--{key.replace('_', '-')} {value}: {exc}") from exc
+    return spec
 
 
 def _json_default(obj):
@@ -246,6 +259,10 @@ class SweepSpec:
     def __init__(self, family, fixed, axes, quantities, mode, spec, out, json_mirror):
         if not 1 <= len(axes) <= 2:
             raise UsageError("sweep needs 1 or 2 --axis options")
+        names = [a[0] for a in axes]
+        for name in names:
+            if names.count(name) > 1:
+                raise UsageError(f"axis {name!r} given more than once")
         for name, lo, hi, points, scale in axes:
             if points < 2:
                 raise UsageError(f"axis {name!r}: need at least 2 points")
@@ -294,6 +311,8 @@ def _parse_axis(text: str):
         points = int(parts[3])
     except ValueError as exc:
         raise UsageError(f"bad --axis {text!r}: {exc}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError(f"bad --axis {text!r}: bounds must be finite")
     scale = parts[4] if len(parts) == 5 else "lin"
     if scale not in ("lin", "log"):
         raise UsageError(f"bad --axis {text!r}: scale must be lin or log")
@@ -306,14 +325,21 @@ _POINT_ERRORS = (cr.ValidityError, cr.NegativeVarianceError, cr.DegenerateLagErr
 
 def _sweep_kernel(task):
     """Evaluate the grid points that share one parameter set on one kernel
-    (so they share its validity gate and series tables); returns one result
-    dict per level (NaN + flag + ``error`` text on failure)."""
+    (so they share its validity gate and series tables, and its levels the
+    per-lag work); returns one result dict per level (NaN + flag + ``error``
+    text on failure)."""
     family, params, levels, mode, quantities, spec = task
     try:
         kernel = _make_kernel(family, params)
     except _POINT_ERRORS as exc:
         return [_failed_row(quantities, exc) for _ in levels]
-    return [_sweep_point(kernel, u, mode, quantities, spec) for u in levels]
+    rates = [None] * len(levels)
+    if "var_rate" in quantities or "fano" in quantities:
+        try:
+            rates = cr.variance_rate_asymptotic(kernel, levels, mode, spec)
+        except _POINT_ERRORS:
+            pass  # level by level, so only the levels that fail get NaN rows
+    return [_sweep_point(kernel, u, mode, quantities, spec, asym) for u, asym in zip(levels, rates)]
 
 
 def _failed_row(quantities, exc) -> dict:
@@ -321,14 +347,16 @@ def _failed_row(quantities, exc) -> dict:
             "converged": False, "error": f"{type(exc).__name__}: {exc}"}
 
 
-def _sweep_point(kernel, u, mode, quantities, spec) -> dict:
-    """Evaluate one grid point; returns a result dict (NaN + flag on failure)."""
+def _sweep_point(kernel, u, mode, quantities, spec, asym=None) -> dict:
+    """Evaluate one grid point, given its long-time statistics ``asym`` if
+    already computed; returns a result dict (NaN + flag on failure)."""
     row = {}
     try:
         if "mean_rate" in quantities:
             row["mean_rate"] = cr.mean_rate(kernel, u, mode)
         if "var_rate" in quantities or "fano" in quantities:
-            asym = cr.variance_rate_asymptotic(kernel, u, mode, spec)
+            if asym is None:
+                asym = cr.variance_rate_asymptotic(kernel, u, mode, spec)
             if "var_rate" in quantities:
                 row["var_rate"] = asym.variance
             if "fano" in quantities:
@@ -432,6 +460,7 @@ def cmd_simulate(args) -> int:
     _merge(args, defaults)
     params = {p: getattr(args, p) for p in _FAMILY_PARAMS[args.kernel]}
     kernel = _make_kernel(args.kernel, params)
+    spec = _quad_spec(args)
     dt = args.dt_factor * kernel.tau_slow
     from . import montecarlo as mc  # scipy.integrate and scipy.linalg load with it
     window = dict(T=args.horizon, dt=dt, trials=args.trials, seed=args.seed,
@@ -444,7 +473,6 @@ def cmd_simulate(args) -> int:
         est = mc.estimate_stats(config)
     except mc.SimulationConfigError as exc:
         raise UsageError(str(exc)) from exc
-    spec = _quad_spec(args)
     analytic = cr.variance_count(kernel, args.u, args.horizon, args.mode, spec)
     asym = cr.variance_rate_asymptotic(kernel, args.u, args.mode, spec)
     z_mean = (est.mean - analytic.mean) / est.se_mean if est.se_mean > 0 else math.inf

@@ -21,8 +21,11 @@ Where each piece comes from:
 * ``_bracket`` is the only copy of the erf/Owen's-T bracket, for up- and
   total crossings; the Monte Carlo module's theorem closed forms divide it
   by sqrt(alpha beta);
-* ``integrand_up`` and ``integrand_total`` share one body; the zero-level
-  arctan integrands are kept apart as an independent reference;
+* ``integrand_up`` and ``integrand_total`` share one body, ``_excess``,
+  fed by ``_lag``: everything at a lag t that does not depend on the level
+  (the kernel evaluation, the weak-correlation test and the level-free part
+  of ``abg_params``); the zero-level arctan integrands are kept apart as an
+  independent reference;
 * ``_assemble`` is the only variance-assembly path (validity gate,
   breakpoints, mean + 2 int I, clamping) behind ``variance_count``,
   ``variance_rate_asymptotic``, ``fano`` and ``zero_level_stats``;
@@ -47,12 +50,17 @@ Three numerical regimes of the integrand are handled explicitly:
   with unit-moment tables built at import.
 
 The validity gate's outcome and the short-lag series tables are cached on
-the kernel, so each is computed once per kernel.
+the kernel, so each is computed once per kernel.  ``variance_rate_asymptotic``
+also takes a sequence of levels (one sweep row): its levels then share the
+``_lag`` work at every lag through a table that lives for that one call and
+is never stored on the kernel, while each level keeps its own adaptive mesh,
+so every result equals its single-level call bit for bit.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -205,12 +213,11 @@ def _horner(coeffs: np.ndarray, t: float) -> float:
     return acc
 
 
-def abg_params(kernel: Kernel, u: float, t: float,
-               d: KernelDerivatives | None = None) -> CrossingParams:
-    """The closed-form quantities (alpha, beta, gamma, delta, det) at (t, u).
+def _lag_params(kernel: Kernel, t: float, d: KernelDerivatives | None = None) -> tuple:
+    """The level-free part of ``abg_params`` at lag t: (alpha, beta, delta,
+    det, r0^2 - r^2, sqrt(2) p, r + r0); gamma is (sqrt(2) p) u / (r + r0).
 
-    ``d`` is ``kernel.eval(t)`` when the caller already has it; the direct
-    path then skips evaluating the kernel again and the series path ignores it.
+    Every ``DegenerateLagError`` check lives here, since none depends on u.
     """
     if t <= 0.0:
         raise DegenerateLagError(f"lag must be > 0 (got {t})")
@@ -241,11 +248,35 @@ def abg_params(kernel: Kernel, u: float, t: float,
     alpha = -rp / (2.0 * d_alpha)
     beta = rm / (2.0 * d_beta)
     delta = 1.0 / rp
-    gamma = math.sqrt(2.0) * p * u / rp
     det = d_alpha * d_beta
     if not (alpha > 0.0 and beta > 0.0 and delta > 0.0):
         raise DegenerateLagError(f"parameter positivity lost at t={t}")
-    return CrossingParams(alpha, beta, gamma, delta, det, rr_diff, t, float(u))
+    return alpha, beta, delta, det, rr_diff, math.sqrt(2.0) * p, rp
+
+
+def abg_params(kernel: Kernel, u: float, t: float,
+               d: KernelDerivatives | None = None) -> CrossingParams:
+    """The closed-form quantities (alpha, beta, gamma, delta, det) at (t, u).
+
+    ``d`` is ``kernel.eval(t)`` when the caller already has it; the direct
+    path then skips evaluating the kernel again and the series path ignores it.
+    """
+    alpha, beta, delta, det, rr_diff, sqrt2_p, rp = _lag_params(kernel, t, d)
+    return CrossingParams(alpha, beta, sqrt2_p * u / rp, delta, det, rr_diff, t, float(u))
+
+
+def _lag(kernel: Kernel, t: float):
+    """All the excess integrand's work at lag t that does not depend on u:
+    the ``KernelDerivatives`` in the weak-correlation regime, otherwise the
+    ``_lag_params`` tuple.  The levels of one call share it (see
+    ``variance_rate_asymptotic``)."""
+    d = None
+    if t >= _SERIES_FRACTION * kernel.series_scale:
+        d = kernel.eval(t)
+        r0, q0 = kernel.r0, kernel.q0
+        if max(abs(d.r) / r0, abs(d.q) / q0, abs(d.p) / math.sqrt(r0 * q0)) < _WEAK_CORRELATION:
+            return d
+    return _lag_params(kernel, t, d)
 
 
 # -- closed-form integrands ---------------------------------------------------
@@ -329,30 +360,27 @@ def _linearized(kernel: Kernel, u: float, d, total: bool) -> float:
     return q0 / r0 * math.exp(-v2) / (2.0 * math.pi) * float(c @ (m1 + (m2 + m3 @ c) @ c))
 
 
-def _excess(kernel: Kernel, u: float, t: float, total: bool) -> float:
-    """The body of ``integrand_up`` (``total`` False) and ``integrand_total``."""
-    d = None
-    if t >= _SERIES_FRACTION * kernel.series_scale:
-        d = kernel.eval(t)
-        r0, q0 = kernel.r0, kernel.q0
-        if max(abs(d.r) / r0, abs(d.q) / q0, abs(d.p) / math.sqrt(r0 * q0)) < _WEAK_CORRELATION:
-            return _linearized(kernel, u, d, total)
-    prm = abg_params(kernel, u, t, d)
-    pref = math.exp(-prm.delta * u * u) / (4.0 * math.pi**2 * math.sqrt(prm.rr_diff))
+def _excess(kernel: Kernel, u: float, lag, total: bool) -> float:
+    """The body of ``integrand_up`` (``total`` False) and ``integrand_total``,
+    from the level-free work ``lag = _lag(kernel, t)``."""
+    if isinstance(lag, KernelDerivatives):
+        return _linearized(kernel, u, lag, total)
+    alpha, beta, delta, _, rr_diff, sqrt2_p, rp = lag
+    pref = math.exp(-delta * u * u) / (4.0 * math.pi**2 * math.sqrt(rr_diff))
     product = kernel.q0 / kernel.r0 * math.exp(-u * u / kernel.r0) / (
         math.pi**2 if total else 4.0 * math.pi**2
     )
-    return pref * _bracket(prm.alpha, prm.beta, prm.gamma, total) - product
+    return pref * _bracket(alpha, beta, sqrt2_p * u / rp, total) - product
 
 
 def integrand_up(kernel: Kernel, u: float, t: float) -> float:
     """Excess two-point upcrossing intensity at lag t (the variance integrand)."""
-    return _excess(kernel, u, t, total=False)
+    return _excess(kernel, u, _lag(kernel, t), total=False)
 
 
 def integrand_total(kernel: Kernel, u: float, t: float) -> float:
     """Excess two-point total-crossing intensity at lag t."""
-    return _excess(kernel, u, t, total=True)
+    return _excess(kernel, u, _lag(kernel, t), total=True)
 
 
 def _integrand_zero_up(kernel: Kernel, t: float) -> float:
@@ -488,11 +516,23 @@ def variance_count(
 
 
 def variance_rate_asymptotic(
-    kernel: Kernel, u: float, mode=CrossingMode.UP, spec: QuadratureSpec | None = None
-) -> CrossingStats:
-    """Long-time variance per unit time: mean rate + 2 int_0^inf I dt."""
+    kernel: Kernel, u, mode=CrossingMode.UP, spec: QuadratureSpec | None = None
+) -> CrossingStats | tuple[CrossingStats, ...]:
+    """Long-time variance per unit time: mean rate + 2 int_0^inf I dt.
+
+    ``u`` may also be a sequence of levels; the result is then a tuple with
+    one ``CrossingStats`` per level, each equal to its single-level call.
+    The levels share the level-free work at every lag (``_lag``) through a
+    table that lives for this call only; each keeps its own adaptive mesh.
+    """
     mode = _mode(mode)
-    return _assemble(kernel, u, mode, _pick_integrand(kernel, u, mode), None, spec)
+    if np.ndim(u) == 0:
+        return _assemble(kernel, u, mode, _pick_integrand(kernel, u, mode), None, spec)
+    total = mode is CrossingMode.TOTAL
+    lag = functools.cache(lambda t: _lag(kernel, t))  # the table, keyed by t
+    return tuple(_assemble(kernel, level, mode,
+                           lambda t, level=level: _excess(kernel, level, lag(t), total), None, spec)
+                 for level in u)
 
 
 def fano(

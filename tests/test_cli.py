@@ -82,6 +82,40 @@ class TestUsageErrors:
         code, _, _ = run(capsys, "sweep", "--kernel", "se", "--axis", "u:0")
         assert code == EXIT_USAGE
 
+    BAD_NUMBERS = [
+        (["stats", "--horizon", "-1"], "--horizon"),
+        (["stats", "--horizon", "0"], "--horizon"),
+        (["stats", "--horizon", "nan"], "--horizon"),
+        (["stats", "--rel-tol", "0"], "--rel-tol"),
+        (["stats", "--abs-tol", "-1"], "--abs-tol"),
+        (["stats", "--tail-cutoff", "5"], "--tail-cutoff"),
+        (["stats", "--u", "nan"], "--u"),
+        (["sweep", "--axis", "u:0:1:2", "--rel-tol", "0"], "--rel-tol"),
+        (["sweep", "--axis", "u:0:1:2", "--abs-tol", "-1"], "--abs-tol"),
+        (["sweep", "--axis", "u:0:1:2", "--tail-cutoff", "5"], "--tail-cutoff"),
+        (["sweep", "--axis", "u:nan:2:3"], "--axis"),
+        (["sweep", "--axis", "u:0:1:2", "--jobs", "0"], "--jobs"),
+        (["sweep", "--axis", "u:0:1:2", "--jobs", "-3"], "--jobs"),
+    ]
+
+    @pytest.mark.parametrize("argv, flag", BAD_NUMBERS, ids=[" ".join(a) for a, _ in BAD_NUMBERS])
+    def test_bad_numeric_input_is_usage_error(self, capsys, tmp_path, argv, flag):
+        out = tmp_path / "sweep.csv"
+        extra = ["--out", str(out)] if argv[0] == "sweep" else []
+        code, text, err = run(capsys, argv[0], "--kernel", "sdho", *argv[1:], *extra)
+        assert code == EXIT_USAGE
+        assert text == "" and not out.exists()
+        assert len(err.splitlines()) == 1
+        assert err.startswith("usage error: ") and flag in err
+
+    def test_repeated_axis_is_usage_error(self, capsys, tmp_path):
+        out = tmp_path / "sweep.csv"
+        code, _, err = run(capsys, "sweep", "--kernel", "sdho", "--axis", "u:0:2:3",
+                           "--axis", "u:0:1:2", "--out", str(out))
+        assert code == EXIT_USAGE
+        assert err == "usage error: axis 'u' given more than once\n"
+        assert not out.exists()
+
     def test_parse_axis(self):
         assert _parse_axis("u:0:2:5") == ("u", 0.0, 2.0, 5, "lin")
         assert _parse_axis("tau:0.1:10:7:log") == ("tau", 0.1, 10.0, 7, "log")
@@ -171,6 +205,31 @@ class TestSweep:
         assert [r["converged"] for r in rows] == [False, True] * 3
         assert all(math.isnan(r["fano"]) != r["converged"] for r in rows)
 
+    def test_failed_level_keeps_its_row(self, capsys, tmp_path, monkeypatch):
+        # One level of one row raises: that row is NaN with one stderr line,
+        # and every other row has the bytes of the sweep without the fault.
+        import levelcross.crossings as cr
+        args = ["sweep", "--kernel", "sdho", "--axis", "zeta:0.5:2:2", "--axis", "u:0:1:3",
+                "--quantity", "var_rate,fano"]
+        clean, faulty = tmp_path / "clean.csv", tmp_path / "faulty.csv"
+        assert run(capsys, *args, "--out", str(clean))[0] == EXIT_OK
+        original = cr._assemble
+
+        def assemble(kernel, u, *rest):
+            if kernel.zeta == 0.5 and u == 0.5:
+                raise cr.DegenerateLagError("injected")
+            return original(kernel, u, *rest)
+
+        monkeypatch.setattr(cr, "_assemble", assemble)
+        code, _, err = run(capsys, *args, "--out", str(faulty))
+        assert code == EXIT_NUMERIC
+        assert err == "sweep row zeta=0.5, u=0.5: DegenerateLagError: injected\n"
+        clean_lines = clean.read_text().splitlines()
+        faulty_lines = faulty.read_text().splitlines()
+        changed = [i for i, (a, b) in enumerate(zip(clean_lines, faulty_lines)) if a != b]
+        assert len(faulty_lines) == len(clean_lines) and len(changed) == 1
+        assert faulty_lines[changed[0]] == "0.5,0.5,nan,nan,nan,false"
+
     def test_nonconverged_rows_exit_numeric(self, capsys, tmp_path):
         # rq with alpha_shape 0.75 does not converge at default settings; the
         # sweep still writes every row but exits with the non-convergence code.
@@ -209,6 +268,13 @@ class TestConfig:
                            "--u", "1.5", "--json")
         assert code == EXIT_OK
         assert json.loads(out)["u"] == 1.5
+
+    def test_unparsable_config_value_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kernel = sdho\nu = abc\n")
+        code, _, err = run(capsys, "stats", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert err.startswith("usage error: config key 'u': ") and len(err.splitlines()) == 1
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

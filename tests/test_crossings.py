@@ -237,6 +237,41 @@ class TestPerKernelWork:
         assert calls == [2.0]
 
 
+class TestLevelRow:
+    """variance_rate_asymptotic on a sequence of levels: one call per row."""
+
+    LEVELS = (0.0, 0.5, -0.75, 0.5)  # a repeated and a negative level
+
+    @pytest.mark.parametrize("kernel", [make_sdho(1.0, 0.7, 1.0), make_ou_mean_revert(1.0, 0.3, 1.0),
+                                        make_rational_quadratic(1.0, 1.0, 2.0),
+                                        make_squared_exponential(1.0, 1.0)], ids=repr)
+    @pytest.mark.parametrize("mode", ["up", "total"])
+    def test_row_equals_single_level_calls(self, kernel, mode):
+        row = variance_rate_asymptotic(kernel, list(self.LEVELS), mode)
+        assert isinstance(row, tuple)
+        assert [repr(st) for st in row] == [
+            repr(variance_rate_asymptotic(kernel, u, mode)) for u in self.LEVELS
+        ]
+
+    def test_row_evaluates_kernel_once_per_lag(self, monkeypatch):
+        kernel = make_sdho(1.0, 0.7, 1.0)
+        crossings._gate(kernel)
+        calls = []
+        original = type(kernel).eval
+        monkeypatch.setattr(type(kernel), "eval",
+                            lambda self, t: calls.append(t) or original(self, t))
+        variance_rate_asymptotic(kernel, [0.25 * k for k in range(9)], "up")
+        assert calls and len(calls) == len(set(calls))
+
+    def test_row_leaves_no_state_on_kernel(self):
+        kernel = make_sdho(1.0, 0.7, 1.0)
+        variance_rate_asymptotic(kernel, 0.5, "up")  # fills the per-kernel caches
+        before = dict(vars(kernel))
+        variance_rate_asymptotic(kernel, [0.25 * k for k in range(9)], "up")
+        assert vars(kernel).keys() == before.keys()
+        assert all(vars(kernel)[key] is value for key, value in before.items())
+
+
 class TestShortLagSeries:
     # Squared-exponential kernels on which the rounding residue of the
     # cancelled t^4 coefficient of D_beta once beat the true t^6 term at the
