@@ -20,6 +20,7 @@ above 4).  Identical flags and seed produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -118,7 +119,11 @@ _OPTION_TYPES = {
 def _coerce(key: str, raw: str, default):
     kind = bool if isinstance(default, bool) else _OPTION_TYPES.get(key, type(default))
     if kind is bool:
-        return raw.lower() in ("1", "true", "yes", "on")
+        if raw.lower() in ("1", "true", "yes", "on"):
+            return True
+        if raw.lower() in ("0", "false", "no", "off"):
+            return False
+        raise UsageError(f"config key {key!r}: expected true or false, got {raw!r}")
     if kind in (int, float):
         try:
             return kind(raw)
@@ -192,7 +197,7 @@ def _dumps(obj) -> str:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, bool):
+    if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, float):
         return format(x, ".17g")
@@ -671,10 +676,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on first use and reused by every later main() call in the process;
+# parsing leaves no state on the parser.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (UsageError, kn.KernelError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")

@@ -26,6 +26,12 @@ Where each piece comes from:
   (the kernel evaluation, the weak-correlation test and the level-free part
   of ``abg_params``); the zero-level arctan integrands are kept apart as an
   independent reference;
+* ``_excess``, ``_bracket`` and ``_linearized`` are each written once and
+  take either Python floats (one level at one lag, through ``math``) or
+  arrays of levels x lags (``xp=_Arrays``), with the same bits in every
+  element: numpy's arithmetic and square root round as Python's do, while
+  exp, erf and powers go element by element through the same functions as
+  the float path;
 * ``_assemble`` is the only variance-assembly path (validity gate,
   breakpoints, mean + 2 int I, clamping) behind ``variance_count``,
   ``variance_rate_asymptotic``, ``fano`` and ``zero_level_stats``;
@@ -51,10 +57,14 @@ Three numerical regimes of the integrand are handled explicitly:
 
 The validity gate's outcome and the short-lag series tables are cached on
 the kernel, so each is computed once per kernel.  ``variance_rate_asymptotic``
-also takes a sequence of levels (one sweep row): its levels then share the
-``_lag`` work at every lag through a table that lives for that one call and
-is never stored on the kernel, while each level keeps its own adaptive mesh,
-so every result equals its single-level call bit for bit.
+also takes a sequence of levels (one sweep row).  Each level keeps its own
+adaptive mesh, so every result equals its single-level call bit for bit, but
+the quadrature asks for a whole panel of lags at a time (see
+:mod:`levelcross.quadrature`), and the first level to ask for a panel gets
+every level's values there from one array expression (``_panel``).  The
+other levels read them from a table keyed by the panel's lags; it lives for
+that one call and is never stored on the kernel.  Only a call with more than
+one level takes the array path: for one level the float path is faster.
 """
 
 from __future__ import annotations
@@ -68,7 +78,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .kernels import Kernel, KernelDerivatives, check_validity
-from .quadrature import QuadratureSpec, integrate_finite, integrate_semi_infinite
+from .quadrature import QuadratureSpec, integrate_finite, integrate_semi_infinite, pointwise
 from .special import erf, owens_t
 
 __all__ = [
@@ -281,26 +291,66 @@ def _lag(kernel: Kernel, t: float):
 
 # -- closed-form integrands ---------------------------------------------------
 
-def _bracket(alpha: float, beta: float, gamma: float, total: bool) -> float:
+def _each(fn):
+    """fn applied element by element through Python floats.  numpy's own exp
+    and powers round differently from the C library's on some inputs, so the
+    array path makes the same calls as the float path."""
+    return lambda x: np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+class _Floats:
+    """The elementary operations of the excess formula on Python floats:
+    one level."""
+
+    exp, sqrt, erf, stack = math.exp, math.sqrt, erf, np.array
+
+    @staticmethod
+    def owens_t(h, a):
+        return float(owens_t(h, a))
+
+    @staticmethod
+    def cube(x):
+        return x**3
+
+
+class _Arrays:
+    """The same operations, element by element, on (levels x lags) arrays:
+    many levels.  Each element equals the float path's value bit for bit
+    (numpy's + - * / and sqrt round as Python's; exp, erf and powers go
+    through the float path's functions; ``owens_t`` is one ufunc)."""
+
+    exp, erf, cube, sqrt = _each(math.exp), _each(erf), _each(_Floats.cube), np.sqrt
+
+    @staticmethod
+    def owens_t(h, a):  # the module's name at call time, as on the float path
+        return owens_t(h, a)
+
+    @staticmethod
+    def stack(parts):
+        return np.stack(np.broadcast_arrays(*parts), axis=-1)
+
+
+def _bracket(alpha, beta, gamma, total: bool, xp=_Floats):
     """The erf/Owen's-T bracket of the excess integrand.
 
     Upcrossings by default; ``total`` gives the total-crossing bracket (note
     its T - 1/8 structure).  Divided by sqrt(alpha beta) it is the closed
     form of the canonical wedge (full-plane) integral.  Written with
     non-positive exponents only: the exp(alpha^2 gamma^2/(a+b)) factor of
-    the erf term is absorbed so nothing overflows for large gamma.
+    the erf term is absorbed so nothing overflows for large gamma.  Takes
+    floats, or arrays with ``xp=_Arrays``.
     """
     apb = alpha + beta
     ab = alpha * beta
-    sab = math.sqrt(ab)
-    h = gamma * math.sqrt(2.0 * ab / apb)
+    sab = xp.sqrt(ab)
+    h = gamma * xp.sqrt(2.0 * ab / apb)
     erf_term = (
-        math.exp(-alpha * gamma * gamma)
-        + _SQRT_PI * gamma * math.sqrt(apb) * math.exp(-0.5 * h * h)
-        * erf(alpha * gamma / math.sqrt(apb))
+        xp.exp(-alpha * gamma * gamma)
+        + _SQRT_PI * gamma * xp.sqrt(apb) * xp.exp(-0.5 * h * h)
+        * xp.erf(alpha * gamma / xp.sqrt(apb))
     )
     coef = (alpha - beta - 2.0 * ab * gamma * gamma) / ab
-    t_val = float(owens_t(h, math.sqrt(alpha / beta)))
+    t_val = xp.owens_t(h, xp.sqrt(alpha / beta))
     if total:
         return 2.0 * erf_term / sab + 4.0 * math.pi * coef * (t_val - 0.125)
     return erf_term / (2.0 * sab) + math.pi * coef * t_val
@@ -331,7 +381,18 @@ _WEAK_TABLES = {total: tuple(_weak_moments(n, total) / math.factorial(n) for n i
                 for total in (False, True)}
 
 
-def _linearized(kernel: Kernel, u: float, d, total: bool) -> float:
+def _weak_sum(c, total: bool):
+    """M1 c + c^T M2 c / 2 + M3[c, c, c] / 6 over the last axis of c.  A
+    stack of vectors takes batched matrix products, which give each vector
+    the bits of the one-vector products."""
+    m1, m2, m3 = _WEAK_TABLES[total]
+    if c.ndim == 1:
+        return float(c @ (m1 + (m2 + m3 @ c) @ c))
+    s = m1 + ((m2 + (m3 @ c[..., None, :, None])[..., 0]) @ c[..., :, None])[..., 0]
+    return (c[..., None, :] @ s[..., :, None])[..., 0, 0]
+
+
+def _linearized(kernel: Kernel, u, d, total: bool, xp=_Floats):
     """Weak-correlation expansion of the excess integrand, third order in
     the lag-t correlations (r, p, q).
 
@@ -349,28 +410,44 @@ def _linearized(kernel: Kernel, u: float, d, total: bool) -> float:
     """
     r0, q0 = kernel.r0, kernel.q0
     rho, kap, pi2, v2 = d.r / r0, d.q / q0, d.p * d.p / (r0 * q0), u * u / r0
-    c = np.array([
+    c = xp.stack([
         0.5 * (rho * rho + kap * kap) + pi2
-        + v2 * (rho - rho * rho + rho**3 + pi2 * (2.0 * rho - 1.0 - kap)),
+        + v2 * (rho - rho * rho + xp.cube(rho) + pi2 * (2.0 * rho - 1.0 - kap)),
         -d.p * u / (r0 * math.sqrt(q0)) * (1.0 + kap + kap * kap - rho - kap * rho + rho * rho + pi2),
         -0.5 * (kap * kap + pi2),
-        kap + kap**3 + pi2 * (2.0 * kap - rho),
+        kap + xp.cube(kap) + pi2 * (2.0 * kap - rho),
     ])
-    m1, m2, m3 = _WEAK_TABLES[total]
-    return q0 / r0 * math.exp(-v2) / (2.0 * math.pi) * float(c @ (m1 + (m2 + m3 @ c) @ c))
+    return q0 / r0 * xp.exp(-v2) / (2.0 * math.pi) * _weak_sum(c, total)
 
 
-def _excess(kernel: Kernel, u: float, lag, total: bool) -> float:
+def _excess(kernel: Kernel, u, lag, total: bool, xp=_Floats):
     """The body of ``integrand_up`` (``total`` False) and ``integrand_total``,
-    from the level-free work ``lag = _lag(kernel, t)``."""
+    from the level-free work ``lag = _lag(kernel, t)``.  With ``xp=_Arrays``
+    it takes a column of levels u and the fields of ``lag`` as rows over
+    the lags of one regime (see ``_panel``)."""
     if isinstance(lag, KernelDerivatives):
-        return _linearized(kernel, u, lag, total)
+        return _linearized(kernel, u, lag, total, xp)
     alpha, beta, delta, _, rr_diff, sqrt2_p, rp = lag
-    pref = math.exp(-delta * u * u) / (4.0 * math.pi**2 * math.sqrt(rr_diff))
-    product = kernel.q0 / kernel.r0 * math.exp(-u * u / kernel.r0) / (
+    pref = xp.exp(-delta * u * u) / (4.0 * math.pi**2 * xp.sqrt(rr_diff))
+    product = kernel.q0 / kernel.r0 * xp.exp(-u * u / kernel.r0) / (
         math.pi**2 if total else 4.0 * math.pi**2
     )
-    return pref * _bracket(alpha, beta, sqrt2_p * u / rp, total) - product
+    return pref * _bracket(alpha, beta, sqrt2_p * u / rp, total, xp) - product
+
+
+def _panel(kernel: Kernel, levels: np.ndarray, ts, total: bool) -> list[list[float]]:
+    """Every level's excess at every lag of one quadrature panel: one array
+    expression per regime (weak-correlation lags and the rest), as one
+    list of floats per level."""
+    lags = [_lag(kernel, t) for t in ts]
+    values = np.empty((len(levels), len(lags)))
+    for weak in (False, True):
+        cols = [i for i, lag in enumerate(lags) if isinstance(lag, KernelDerivatives) is weak]
+        if cols:
+            fields = np.array([lags[i] for i in cols]).T
+            values[:, cols] = _excess(kernel, levels, KernelDerivatives(*fields) if weak else fields,
+                                      total, _Arrays)
+    return values.tolist()
 
 
 def integrand_up(kernel: Kernel, u: float, t: float) -> float:
@@ -428,9 +505,8 @@ def mean_count(kernel: Kernel, u: float, T: float, mode=CrossingMode.UP) -> floa
 
 
 def _pick_integrand(kernel: Kernel, u: float, mode: CrossingMode):
-    if mode is CrossingMode.TOTAL:
-        return lambda t: integrand_total(kernel, u, t)
-    return lambda t: integrand_up(kernel, u, t)
+    integrand = integrand_total if mode is CrossingMode.TOTAL else integrand_up
+    return pointwise(functools.partial(integrand, kernel, u))
 
 
 def _lag_spec(kernel: Kernel, spec: QuadratureSpec | None) -> QuadratureSpec:
@@ -483,10 +559,12 @@ def _assemble(
         tau = kernel.tau_slow
         breaks = tuple(m * tau for m in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0) if m * tau < T)
         inner = replace(inner, breakpoints=breaks)
-        result = integrate_finite(lambda t: (1.0 - t / T) * f(t), 0.0, T, inner)
+        result = integrate_finite(lambda ts: [(1.0 - t / T) * v for t, v in zip(ts, f(ts))],
+                                  0.0, T, inner)
         scale = 2.0 * T
-    raw = mean + scale * result.value
-    quad_error = scale * result.error
+    # Plain float/bool fields: the series path's Horner sums are numpy scalars.
+    raw = float(mean + scale * result.value)
+    quad_error = float(scale * result.error)
     if raw < 0.0:
         if raw < -10.0 * max(quad_error, 1e-300):
             raise NegativeVarianceError(
@@ -498,7 +576,7 @@ def _assemble(
         mode=mode, u=float(u), mean=mean, variance=raw,
         fano=raw / mean if T is None and mean > 0 else None,
         horizon=None if T is None else float(T), quad_error=quad_error,
-        quad_converged=result.converged, evaluations=result.evaluations,
+        quad_converged=bool(result.converged), evaluations=result.evaluations,
         warnings=warnings,
     )
 
@@ -522,17 +600,28 @@ def variance_rate_asymptotic(
 
     ``u`` may also be a sequence of levels; the result is then a tuple with
     one ``CrossingStats`` per level, each equal to its single-level call.
-    The levels share the level-free work at every lag (``_lag``) through a
-    table that lives for this call only; each keeps its own adaptive mesh.
+    Each level keeps its own adaptive mesh.  With more than one level, the
+    first level to ask for a quadrature panel computes every level's values
+    there at once (``_panel``), and the others read them from a table that
+    lives for this call only.
     """
     mode = _mode(mode)
     if np.ndim(u) == 0:
         return _assemble(kernel, u, mode, _pick_integrand(kernel, u, mode), None, spec)
+    if len(u) == 1:  # one level: the float path is faster
+        return (variance_rate_asymptotic(kernel, u[0], mode, spec),)
     total = mode is CrossingMode.TOTAL
-    lag = functools.cache(lambda t: _lag(kernel, t))  # the table, keyed by t
-    return tuple(_assemble(kernel, level, mode,
-                           lambda t, level=level: _excess(kernel, level, lag(t), total), None, spec)
-                 for level in u)
+    levels = np.array(u, dtype=float)[:, None]
+    table = {}  # a panel's lags -> every level's values there
+
+    def panel(ts):
+        key = tuple(ts)
+        if key not in table:
+            table[key] = _panel(kernel, levels, ts, total)
+        return table[key]
+
+    return tuple(_assemble(kernel, level, mode, lambda ts, i=i: panel(ts)[i], None, spec)
+                 for i, level in enumerate(u))
 
 
 def fano(
@@ -556,7 +645,7 @@ def zero_level_stats(
     """
     mode = _mode(mode)
     zero = _integrand_zero_total if mode is CrossingMode.TOTAL else _integrand_zero_up
-    return _assemble(kernel, 0.0, mode, lambda t: zero(kernel, t), T, spec)
+    return _assemble(kernel, 0.0, mode, pointwise(functools.partial(zero, kernel)), T, spec)
 
 
 def _unit_kernel(family: str, shape: dict) -> Kernel:

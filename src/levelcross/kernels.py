@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quadrature import QuadratureSpec, integrate_finite
+from .quadrature import QuadratureSpec, integrate_finite, pointwise
 
 __all__ = [
     "Kernel",
@@ -481,7 +481,7 @@ def check_validity(kernel, grid: np.ndarray | None = None, eps: float | None = N
     spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-10 * max(q0, 1.0), endpoint="open-left",
                           open_left_offset=1e-7 * tau)
     try:
-        geman = integrate_finite(lambda t: (q0 - kernel.eval(t).q) / t, 0.0, eps, spec)
+        geman = integrate_finite(pointwise(lambda t: (q0 - kernel.eval(t).q) / t), 0.0, eps, spec)
         checks["short_lag_integrable"] = (geman.converged, {"value": geman.value, "error": geman.error})
     except Exception as exc:  # noqa: BLE001 - report, never raise
         checks["short_lag_integrable"] = (False, {"exception": repr(exc)})

@@ -18,6 +18,14 @@ Adaptive one-dimensional integration tailored to the crossing integrands:
 
 Everything is deterministic: fixed node sets, worst-interval-first
 bisection, no randomness.
+
+Integrands are evaluated a panel at a time: the integrator calls
+``f(nodes)`` with a list of abscissae (the 15 nodes of one Gauss-Kronrod
+panel, or the single open-left edge point) and takes a sequence of as many
+values back, so an integrand can share work across a panel's nodes.  The
+values are summed in a fixed order; the first non-finite one, in node
+order, raises ``IntegrationError``.  A function of one abscissa joins
+through ``pointwise``.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ __all__ = [
     "IntegrationError",
     "integrate_finite",
     "integrate_semi_infinite",
+    "pointwise",
 ]
 
 
@@ -107,23 +116,28 @@ _WG = (
 )
 
 
-def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+def pointwise(f: Callable[[float], float]) -> Callable[[Sequence[float]], list[float]]:
+    """The panel integrand of a function of one abscissa."""
+    return lambda nodes: [f(t) for t in nodes]
+
+
+def _gk15(f: Callable[[list[float]], Sequence[float]], a: float, b: float) -> tuple[float, float]:
     """One Gauss-Kronrod 15-point panel: returns (kronrod value, error estimate)."""
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    fc = f(center)
-    if not math.isfinite(fc):
-        raise IntegrationError(f"non-finite integrand value at t={center!r}", center)
+    nodes = [center]
+    for x in _XGK[:7]:
+        dx = half * x
+        nodes += (center - dx, center + dx)
+    values = f(nodes)
+    if not all(map(math.isfinite, values)):
+        t = next(t for t, v in zip(nodes, values) if not math.isfinite(v))
+        raise IntegrationError(f"non-finite integrand value at t={t!r}", t)
+    pairs = iter(values)
+    fc = next(pairs)
     kron = _WGK[7] * fc
     gauss = _WG[3] * fc
-    for j in range(7):
-        dx = half * _XGK[j]
-        f1 = f(center - dx)
-        f2 = f(center + dx)
-        if not math.isfinite(f1):
-            raise IntegrationError(f"non-finite integrand value at t={center - dx!r}", center - dx)
-        if not math.isfinite(f2):
-            raise IntegrationError(f"non-finite integrand value at t={center + dx!r}", center + dx)
+    for j, f1, f2 in zip(range(7), pairs, pairs):
         kron += _WGK[j] * (f1 + f2)
         if j % 2 == 1:  # Kronrod nodes 1,3,5 are the Gauss-7 nodes
             gauss += _WG[j // 2] * (f1 + f2)
@@ -190,7 +204,7 @@ def _split_segments(lo: float, hi: float, spec: QuadratureSpec) -> list[tuple[fl
 
 
 def integrate_finite(
-    f: Callable[[float], float], lo: float, hi: float, spec: QuadratureSpec | None = None
+    f: Callable[[list[float]], Sequence[float]], lo: float, hi: float, spec: QuadratureSpec | None = None
 ) -> QuadratureResult:
     """Integrate f on [lo, hi] (or (lo, hi] under the open-left policy)."""
     spec = spec or QuadratureSpec()
@@ -225,7 +239,7 @@ def integrate_finite(
         right = left
         if abs(v) + e < 0.05 * _tolerance(spec, value):
             break
-    f_edge = f(right)
+    f_edge = f([right])[0]
     if not math.isfinite(f_edge):
         raise IntegrationError(f"non-finite integrand value at t={right!r}", right)
     error += (right - lo) * abs(f_edge)
@@ -234,7 +248,7 @@ def integrate_finite(
 
 
 def integrate_semi_infinite(
-    f: Callable[[float], float], lo: float, spec: QuadratureSpec | None = None
+    f: Callable[[list[float]], Sequence[float]], lo: float, spec: QuadratureSpec | None = None
 ) -> QuadratureResult:
     """Integrate f on [lo, inf) under the spec's tail policy."""
     spec = spec or QuadratureSpec()
@@ -253,12 +267,11 @@ def integrate_semi_infinite(
     # Exponential map: t = lo - L*ln(1-x), dt = L/(1-x) dx, x in [0, 1).
     scale = 4.0 * spec.tail_scale
 
-    def g(x: float) -> float:
-        one_minus = 1.0 - x
-        if one_minus <= 0.0:  # x rounded to 1.0 at floating-point resolution
-            return 0.0
-        t = lo - scale * math.log(one_minus)
-        return f(t) * scale / one_minus
+    def g(xs: list[float]) -> list[float]:
+        one_minus = [1.0 - x for x in xs]
+        # An x rounded to 1.0 at floating-point resolution maps to no lag.
+        values = iter(f([lo - scale * math.log(m) for m in one_minus if m > 0.0]))
+        return [next(values) * scale / m if m > 0.0 else 0.0 for m in one_minus]
 
     inner = replace(
         spec,

@@ -230,6 +230,28 @@ class TestSweep:
         assert len(faulty_lines) == len(clean_lines) and len(changed) == 1
         assert faulty_lines[changed[0]] == "0.5,0.5,nan,nan,nan,false"
 
+    def test_booleans_spelled_one_way(self, capsys, tmp_path):
+        # Two rows whose kernel is invalid and one converged row, in one column.
+        out = tmp_path / "sweep.csv"
+        code, _, _ = run(capsys, "sweep", "--kernel", "sdho", "--axis", "zeta:-1:1:3",
+                         "--quantity", "fano", "--out", str(out))
+        assert code == EXIT_NUMERIC
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["false", "false", "true"]
+
+    def test_calls_in_one_process_match_fresh_parsers(self, capsys, tmp_path):
+        # main() builds its parser once; repeated --axis options must not
+        # carry over from one call into the next.
+        import levelcross.cli as cli
+        first = ["sweep", "--kernel", "se", "--axis", "u:0:1:2", "--axis", "tau:0.5:1:2"]
+        second = ["sweep", "--kernel", "sdho", "--axis", "u:0:1:3", "--quantity", "fano"]
+        for name, argv in (("a", first), ("b", second)):
+            assert run(capsys, *argv, "--out", str(tmp_path / f"{name}.csv"))[0] == EXIT_OK
+            args = cli.build_parser().parse_args([*argv, "--out", str(tmp_path / f"{name}-fresh.csv")])
+            assert args.func(args) == EXIT_OK
+            assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / f"{name}-fresh.csv").read_bytes()
+        assert cli._parser() is cli._parser()
+
     def test_nonconverged_rows_exit_numeric(self, capsys, tmp_path):
         # rq with alpha_shape 0.75 does not converge at default settings; the
         # sweep still writes every row but exits with the non-convergence code.
@@ -275,6 +297,14 @@ class TestConfig:
         code, _, err = run(capsys, "stats", "--config", str(cfg))
         assert code == EXIT_USAGE
         assert err.startswith("usage error: config key 'u': ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("value", ["maybe", "ture"])
+    def test_bad_config_boolean_is_usage_error(self, capsys, tmp_path, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"kernel = sdho\njson = {value}\n")
+        code, out, err = run(capsys, "stats", "--config", str(cfg))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("usage error: config key 'json': ") and len(err.splitlines()) == 1
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -198,6 +198,22 @@ class TestWeakExpansion:
                 )
 
 
+class TestArrayPath:
+    """The excess formula on (levels x lags) arrays, as a sweep row takes it,
+    equals its float calls bit for bit in every element."""
+
+    @pytest.mark.parametrize("total", [False, True])
+    def test_panel_equals_float_calls(self, total):
+        kernel = make_sdho(1.0, 0.7, 1.0)
+        ts = np.geomspace(1e-6, 60.0, 300).tolist()
+        lags = [crossings._lag(kernel, t) for t in ts]
+        assert {type(lag) for lag in lags} == {tuple, KernelDerivatives}  # both regimes
+        assert ts[0] < 0.1 * kernel.series_scale < ts[-1]  # series lags too
+        levels = [-2.0, 0.0, 0.3, 1.7]
+        got = crossings._panel(kernel, np.array(levels)[:, None], ts, total)
+        assert got == [[crossings._excess(kernel, u, lag, total) for lag in lags] for u in levels]
+
+
 class TestPerKernelWork:
     def test_gate_runs_once_per_kernel(self, monkeypatch):
         calls = []
@@ -252,6 +268,7 @@ class TestLevelRow:
         assert [repr(st) for st in row] == [
             repr(variance_rate_asymptotic(kernel, u, mode)) for u in self.LEVELS
         ]
+        assert repr(variance_rate_asymptotic(kernel, [0.5], mode)) == repr((row[1],))
 
     def test_row_evaluates_kernel_once_per_lag(self, monkeypatch):
         kernel = make_sdho(1.0, 0.7, 1.0)
@@ -270,6 +287,25 @@ class TestLevelRow:
         variance_rate_asymptotic(kernel, [0.25 * k for k in range(9)], "up")
         assert vars(kernel).keys() == before.keys()
         assert all(vars(kernel)[key] is value for key, value in before.items())
+
+
+class TestPlainTypes:
+    """Every entry point returns plain Python floats and bools, on every path
+    (the short-lag series evaluates numpy polynomials)."""
+
+    @pytest.mark.parametrize("kernel", [make_sdho(1.0, 0.7, 1.0), make_ou_mean_revert(1.0, 0.3, 1.0),
+                                        make_rational_quadratic(1.0, 1.0, 2.0),
+                                        make_squared_exponential(1.0, 1.0)], ids=repr)
+    def test_fields_are_float_and_bool(self, kernel):
+        stats = [variance_count(kernel, 0.5, 3.0 * kernel.tau_slow, "total"),
+                 variance_rate_asymptotic(kernel, 0.5, "up"),
+                 *variance_rate_asymptotic(kernel, [0.0, 0.5, 1.5], "total"),
+                 zero_level_stats(kernel, None, "up")]
+        for st in stats:
+            assert [type(v) for v in (st.mean, st.variance, st.quad_error, st.quad_converged)] == [
+                float, float, float, bool]
+            assert st.fano is None or type(st.fano) is float
+        assert type(fano(kernel, 0.5)) is float
 
 
 class TestShortLagSeries:

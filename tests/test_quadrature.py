@@ -10,24 +10,25 @@ from levelcross.quadrature import (
     QuadratureSpec,
     integrate_finite,
     integrate_semi_infinite,
+    pointwise,
 )
 
 
 class TestFinite:
     def test_polynomial_near_exact(self):
-        r = integrate_finite(lambda t: 3.0 * t * t, 0.0, 2.0)
+        r = integrate_finite(pointwise(lambda t: 3.0 * t * t), 0.0, 2.0)
         assert r.value == pytest.approx(8.0, rel=1e-14)
         assert r.converged
 
     def test_oscillatory(self):
-        r = integrate_finite(math.sin, 0.0, 50.0)
+        r = integrate_finite(pointwise(math.sin), 0.0, 50.0)
         assert r.value == pytest.approx(1.0 - math.cos(50.0), rel=1e-9)
         assert r.converged
 
     def test_inverse_sqrt_open_left(self):
         # Integrable singularity at the left endpoint: int_0^1 t^-1/2 = 2.
         spec = QuadratureSpec(endpoint="open-left", rel_tol=1e-10, abs_tol=1e-12)
-        r = integrate_finite(lambda t: t ** -0.5, 0.0, 1.0, spec)
+        r = integrate_finite(pointwise(lambda t: t ** -0.5), 0.0, 1.0, spec)
         assert r.value == pytest.approx(2.0, abs=1e-8)
 
     def test_open_left_never_evaluates_endpoint(self):
@@ -38,27 +39,27 @@ class TestFinite:
             return 1.0
 
         spec = QuadratureSpec(endpoint="open-left")
-        integrate_finite(f, 0.0, 1.0, spec)
+        integrate_finite(pointwise(f), 0.0, 1.0, spec)
         assert min(seen) > 0.0
 
     def test_bad_interval_raises(self):
         with pytest.raises(ValueError):
-            integrate_finite(lambda t: t, 1.0, 1.0)
+            integrate_finite(pointwise(lambda t: t), 1.0, 1.0)
 
     def test_nonfinite_integrand_raises_with_abscissa(self):
         with pytest.raises(IntegrationError) as err:
-            integrate_finite(lambda t: math.nan, 0.0, 1.0)
+            integrate_finite(pointwise(lambda t: math.nan), 0.0, 1.0)
         assert err.value.abscissa is not None
         assert 0.0 <= err.value.abscissa <= 1.0
 
     def test_breakpoints_seed_segments(self):
         # A kink at an interior breakpoint integrates cleanly when seeded.
         spec = QuadratureSpec(breakpoints=(0.5,))
-        r = integrate_finite(lambda t: abs(t - 0.5), 0.0, 1.0, spec)
+        r = integrate_finite(pointwise(lambda t: abs(t - 0.5)), 0.0, 1.0, spec)
         assert r.value == pytest.approx(0.25, rel=1e-12)
 
     def test_refinement_tightens_error(self):
-        f = lambda t: math.exp(-t) * math.sin(20.0 * t)  # noqa: E731
+        f = pointwise(lambda t: math.exp(-t) * math.sin(20.0 * t))
         coarse = integrate_finite(f, 0.0, 10.0, QuadratureSpec(max_subdivisions=2))
         fine = integrate_finite(f, 0.0, 10.0, QuadratureSpec(max_subdivisions=500))
         assert fine.error < coarse.error
@@ -67,35 +68,35 @@ class TestFinite:
 
 class TestSemiInfinite:
     def test_exponential(self):
-        r = integrate_semi_infinite(lambda t: math.exp(-t), 0.0)
+        r = integrate_semi_infinite(pointwise(lambda t: math.exp(-t)), 0.0)
         assert r.value == pytest.approx(1.0, rel=1e-10)
         assert r.converged
 
     def test_gaussian(self):
-        r = integrate_semi_infinite(lambda t: math.exp(-t * t), 0.0)
+        r = integrate_semi_infinite(pointwise(lambda t: math.exp(-t * t)), 0.0)
         assert r.value == pytest.approx(0.5 * math.sqrt(math.pi), rel=1e-10)
 
     def test_shifted_origin(self):
-        r = integrate_semi_infinite(lambda t: math.exp(-(t - 2.0)), 2.0)
+        r = integrate_semi_infinite(pointwise(lambda t: math.exp(-(t - 2.0))), 2.0)
         assert r.value == pytest.approx(1.0, rel=1e-10)
 
     def test_tail_scale_respected(self):
         spec = QuadratureSpec(tail_scale=10.0)
-        r = integrate_semi_infinite(lambda t: math.exp(-t / 10.0), 0.0, spec)
+        r = integrate_semi_infinite(pointwise(lambda t: math.exp(-t / 10.0)), 0.0, spec)
         assert r.value == pytest.approx(10.0, rel=1e-10)
 
     def test_cutoff_policy_honest_for_heavy_tail(self):
         # t^-3.5 tail: the cutoff policy cannot bound the discarded mass
         # tightly, and must report non-convergence rather than a bogus error.
         spec = QuadratureSpec(tail="cutoff", tail_cutoff=50.0, tail_scale=1.0)
-        r = integrate_semi_infinite(lambda t: (1.0 + t) ** -3.5, 0.0, spec)
+        r = integrate_semi_infinite(pointwise(lambda t: (1.0 + t) ** -3.5), 0.0, spec)
         exact = 1.0 / 2.5
         assert abs(r.value - exact) < 1e-3
         assert abs(r.value - exact) <= r.error or not r.converged
 
     def test_cutoff_policy_exponential_converges(self):
         spec = QuadratureSpec(tail="cutoff", tail_cutoff=60.0, tail_scale=1.0)
-        r = integrate_semi_infinite(lambda t: math.exp(-t), 0.0, spec)
+        r = integrate_semi_infinite(pointwise(lambda t: math.exp(-t)), 0.0, spec)
         assert r.value == pytest.approx(1.0, rel=1e-9)
         assert r.converged
 
@@ -134,7 +135,7 @@ class TestErrorHonesty:
     def test_error_bounds_true_error(self):
         honest = 0
         for f, lo, exact in self.CASES:
-            r = integrate_semi_infinite(f, lo)
+            r = integrate_semi_infinite(pointwise(f), lo)
             true_err = abs(r.value - exact)
             if true_err <= max(r.error, 1e-15):
                 honest += 1
