@@ -25,7 +25,6 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -110,7 +109,7 @@ def _load_config(path: str) -> dict:
 
 # Coercions for options whose built-in default is None (type not inferable).
 _OPTION_TYPES = {
-    "rel_tol": float, "abs_tol": float, "tail_cutoff": float,
+    "rel_tol": float, "abs_tol": float,
     "horizon": float, "jobs": int, "trials": int, "seed": int,
     "dt_factor": float, "draws": int, "json": bool,
 }
@@ -145,6 +144,19 @@ def _resolve_kernel(args) -> None:
     args.kernel = family
 
 
+def _merge_kernel(args: argparse.Namespace, defaults: dict) -> dict:
+    """Resolve the kernel family, then its parameters and every option as
+    ``_merge`` does; returns the kernel parameters.  A flag for a parameter
+    the family does not take is a usage error."""
+    _resolve_kernel(args)
+    names = _FAMILY_PARAMS[args.kernel]
+    for p in _PARAM_DEFAULTS:
+        if p not in names and getattr(args, p) is not None:
+            raise UsageError(f"--{p.replace('_', '-')} is not a parameter of {args.kernel!r}")
+    _merge(args, {**defaults, **{p: _PARAM_DEFAULTS[p] for p in names}})
+    return {p: getattr(args, p) for p in names}
+
+
 def _merge(args: argparse.Namespace, defaults: dict) -> None:
     """Resolve each option: explicit flag > config file > built-in default."""
     if hasattr(args, "kernel"):  # verify has no kernel option
@@ -164,26 +176,21 @@ def _merge(args: argparse.Namespace, defaults: dict) -> None:
         value = getattr(args, key)
         if isinstance(value, float) and not math.isfinite(value):
             raise UsageError(f"--{key.replace('_', '-')} must be finite (got {value})")
-    if getattr(args, "horizon", None) is not None and args.horizon <= 0.0:
-        raise UsageError(f"--horizon must be > 0 (got {args.horizon})")
-    if getattr(args, "jobs", 1) < 1:
-        raise UsageError(f"--jobs must be >= 1 (got {args.jobs})")
+    for key in ("horizon", "rel_tol", "abs_tol"):
+        value = getattr(args, key, None)
+        if value is not None and value <= 0.0:
+            raise UsageError(f"--{key.replace('_', '-')} must be > 0 (got {value})")
+    for key, least in (("jobs", 1), ("seed", 0), ("draws", 1)):
+        value = getattr(args, key, least)
+        if value < least:
+            raise UsageError(f"--{key} must be >= {least} (got {value})")
 
 
 def _quad_spec(args) -> QuadratureSpec | None:
-    """The tolerance flags as a spec (None if none is given); a value the
-    spec rejects is a usage error naming its flag."""
-    spec = None
-    for key in ("rel_tol", "abs_tol", "tail_cutoff"):
-        value = getattr(args, key)
-        if value is None:
-            continue
-        extra = {"tail": "cutoff"} if key == "tail_cutoff" else {}
-        try:
-            spec = replace(spec or QuadratureSpec(), **{key: value}, **extra)
-        except ValueError as exc:
-            raise UsageError(f"--{key.replace('_', '-')} {value}: {exc}") from exc
-    return spec
+    """The tolerance flags as a spec (None if none is given)."""
+    given = {key: getattr(args, key) for key in ("rel_tol", "abs_tol")
+             if getattr(args, key) is not None}
+    return QuadratureSpec(**given) if given else None
 
 
 def _json_default(obj):
@@ -208,17 +215,12 @@ def _fmt(x) -> str:
 
 _STATS_DEFAULTS = {
     "u": 0.0, "mode": "up", "horizon": None, "json": False,
-    "rel_tol": None, "abs_tol": None, "tail_cutoff": None, "out": None,
+    "rel_tol": None, "abs_tol": None, "out": None,
 }
 
 
 def cmd_stats(args) -> int:
-    _resolve_kernel(args)
-    defaults = dict(_STATS_DEFAULTS)
-    for p in _FAMILY_PARAMS[args.kernel]:
-        defaults[p] = _PARAM_DEFAULTS[p]
-    _merge(args, defaults)
-    params = {p: getattr(args, p) for p in _FAMILY_PARAMS[args.kernel]}
+    params = _merge_kernel(args, _STATS_DEFAULTS)
     kernel = _make_kernel(args.kernel, params)
     spec = _quad_spec(args)
     asym = cr.variance_rate_asymptotic(kernel, args.u, args.mode, spec)
@@ -378,23 +380,18 @@ def _sweep_point(kernel, u, mode, quantities, spec, asym=None) -> dict:
 
 _SWEEP_DEFAULTS = {
     "u": 0.0, "mode": "up", "quantity": "mean_rate,var_rate,fano",
-    "rel_tol": None, "abs_tol": None, "tail_cutoff": None,
+    "rel_tol": None, "abs_tol": None,
     "out": "sweep.csv", "json": False, "jobs": 1, "axis": None,
 }
 
 
 def cmd_sweep(args) -> int:
-    _resolve_kernel(args)
-    defaults = dict(_SWEEP_DEFAULTS)
-    for p in _FAMILY_PARAMS[args.kernel]:
-        defaults[p] = _PARAM_DEFAULTS[p]
-    _merge(args, defaults)
+    fixed = _merge_kernel(args, _SWEEP_DEFAULTS)
     raw_axes = args.axis or []
     if isinstance(raw_axes, str):  # from the config file: semicolon-separated
         raw_axes = [a for a in raw_axes.split(";") if a.strip()]
     axes = [_parse_axis(a) for a in raw_axes]
     quantities = [q.strip() for q in args.quantity.split(",") if q.strip()]
-    fixed = {p: getattr(args, p) for p in _FAMILY_PARAMS[args.kernel]}
     spec = SweepSpec(
         args.kernel, fixed, axes, quantities, args.mode, _quad_spec(args),
         args.out, args.json,
@@ -453,17 +450,12 @@ def cmd_sweep(args) -> int:
 _SIM_DEFAULTS = {
     "u": 0.0, "mode": "up", "horizon": 100.0, "trials": 1000, "seed": 0,
     "dt_factor": 0.01, "json": False,
-    "rel_tol": None, "abs_tol": None, "tail_cutoff": None, "out": None,
+    "rel_tol": None, "abs_tol": None, "out": None,
 }
 
 
 def cmd_simulate(args) -> int:
-    _resolve_kernel(args)
-    defaults = dict(_SIM_DEFAULTS)
-    for p in _FAMILY_PARAMS[args.kernel]:
-        defaults[p] = _PARAM_DEFAULTS[p]
-    _merge(args, defaults)
-    params = {p: getattr(args, p) for p in _FAMILY_PARAMS[args.kernel]}
+    params = _merge_kernel(args, _SIM_DEFAULTS)
     kernel = _make_kernel(args.kernel, params)
     spec = _quad_spec(args)
     dt = args.dt_factor * kernel.tau_slow
@@ -513,8 +505,7 @@ def cmd_simulate(args) -> int:
 
 # -- verify -------------------------------------------------------------------
 
-_VERIFY_DEFAULTS = {"seed": 0, "draws": 50, "json": False, "out": None,
-                    "rel_tol": None, "abs_tol": None, "tail_cutoff": None}
+_VERIFY_DEFAULTS = {"seed": 0, "draws": 50}
 
 
 def _verify_canonical(seed: int, draws: int) -> tuple[bool, str]:
@@ -604,7 +595,7 @@ def _verify_invariance(seed: int, draws: int) -> tuple[bool, str]:
 
 
 def cmd_verify(args) -> int:
-    _merge(args, dict(_VERIFY_DEFAULTS))
+    _merge(args, _VERIFY_DEFAULTS)
     suites = [
         ("canonical-integrals", _verify_canonical),
         ("integral-identities", _verify_lemmas),
@@ -632,9 +623,10 @@ def _add_common(sub):
         sub.add_argument(f"--{p.replace('_', '-')}", dest=p, type=float)
     sub.add_argument("--u", type=float)
     sub.add_argument("--mode", choices=("up", "down", "total"))
-    sub.add_argument("--rel-tol", dest="rel_tol", type=float)
-    sub.add_argument("--abs-tol", dest="abs_tol", type=float)
-    sub.add_argument("--tail-cutoff", dest="tail_cutoff", type=float)
+    sub.add_argument("--rel-tol", dest="rel_tol", type=float,
+                     help="relative tolerance of the excess lag integral (default 1e-9), not of F")
+    sub.add_argument("--abs-tol", dest="abs_tol", type=float,
+                     help="absolute tolerance of the excess lag integral in 1/time (default 1e-12)")
     sub.add_argument("--json", action="store_const", const=True)
     sub.add_argument("--out")
     sub.add_argument("--config")

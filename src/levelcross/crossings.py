@@ -73,7 +73,7 @@ import enum
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -509,17 +509,6 @@ def _pick_integrand(kernel: Kernel, u: float, mode: CrossingMode):
     return pointwise(functools.partial(integrand, kernel, u))
 
 
-def _lag_spec(kernel: Kernel, spec: QuadratureSpec | None) -> QuadratureSpec:
-    base = spec or QuadratureSpec()
-    return replace(
-        base,
-        endpoint="open-left",
-        open_left_offset=1e-7 * kernel.tau_slow,
-        tail=base.tail if spec is not None and base.tail == "cutoff" else kernel.preferred_tail,
-        tail_scale=kernel.tau_slow,
-    )
-
-
 def _gate(kernel: Kernel) -> tuple[str, ...]:
     """Validity gate, run once per kernel (the outcome is cached on it): the
     short-lag condition is hard, tail failures are warnings."""
@@ -546,21 +535,24 @@ def _assemble(
 ) -> CrossingStats:
     """The one variance-assembly path: mean + 2 int_0^inf f, or for a window
     of length T, mean + 2T int_0^T (1-t/T) f, with breakpoints at multiples
-    of tau_slow.  A negative result within 10x the quadrature error is
-    clamped to 0 with a warning; beyond that it is a bug signal and raises.
+    of tau_slow.  ``spec`` holds the caller's tolerances only.  A negative
+    result within 10x the quadrature error is clamped to 0 with a warning;
+    beyond that it is a bug signal and raises.
     """
     mean = mean_rate(kernel, u, mode) if T is None else mean_count(kernel, u, T, mode)
     warnings = _gate(kernel)
-    inner = _lag_spec(kernel, spec)
+    tau = kernel.tau_slow
+    # The integration policy of every statistic: f is 0/0 at lag 0, so the
+    # left end stays open, and the tail decays on tau_slow.
+    open_left = 1e-7 * tau
     if T is None:
-        result = integrate_semi_infinite(f, 0.0, inner)
+        result = integrate_semi_infinite(f, 0.0, spec, scale=tau, power_law=kernel.power_law_tail,
+                                         open_left=open_left)
         scale = 2.0
     else:
-        tau = kernel.tau_slow
-        breaks = tuple(m * tau for m in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0) if m * tau < T)
-        inner = replace(inner, breakpoints=breaks)
+        breaks = [m * tau for m in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)]
         result = integrate_finite(lambda ts: [(1.0 - t / T) * v for t, v in zip(ts, f(ts))],
-                                  0.0, T, inner)
+                                  0.0, T, spec, open_left=open_left, breakpoints=breaks)
         scale = 2.0 * T
     # Plain float/bool fields: the series path's Horner sums are numpy scalars.
     raw = float(mean + scale * result.value)

@@ -76,6 +76,7 @@ class Kernel(ABC):
     amplitude   sigma such that r(t) = sigma^2 * g(t/timescale; shape)
     timescale   tau of the same dimensionless decomposition
     shape       dimensionless shape parameters (dict)
+    power_law_tail  r(t) decays as a power of t (sets the statistics' tail policy)
     """
 
     family: str
@@ -87,6 +88,7 @@ class Kernel(ABC):
     amplitude: float
     timescale: float
     shape: dict
+    power_law_tail = False
 
     def __init__(self):
         # Crossing-statistics caches, declared so filling them keeps the instance compact.
@@ -112,11 +114,6 @@ class Kernel(ABC):
         """The series coefficients, computed on each access: the short-lag
         tables built from them are what the statistics cache."""
         return self._taylor_coefficients()
-
-    @property
-    def preferred_tail(self) -> str:
-        """Tail policy suited to this kernel's decay ("exp" or "cutoff")."""
-        return "exp"
 
     @property
     def series_scale(self) -> float:
@@ -302,6 +299,10 @@ class RationalQuadraticKernel(Kernel):
     """r(t) = sigma^2 (1 + t^2/(2 alpha tau^2))^{-alpha}; power-law tail t^{-2 alpha}."""
 
     family = "rational_quadratic"
+    # Power-law correlation decay for every finite alpha_shape: the
+    # exponential tail map would amplify the tail by e^{t/L}, so the
+    # statistics integrate to a cutoff and bound the remainder.
+    power_law_tail = True
 
     def __init__(self, sigma: float, tau: float, alpha_shape: float):
         super().__init__()
@@ -318,13 +319,6 @@ class RationalQuadraticKernel(Kernel):
         self.amplitude = sigma
         self.timescale = tau
         self.shape = {"alpha_shape": alpha_shape}
-
-    @property
-    def preferred_tail(self) -> str:
-        # Power-law correlation decay for every finite alpha_shape: the
-        # exponential tail map would amplify the tail by e^{t/L}, so always
-        # integrate to a cutoff and bound the remainder.
-        return "cutoff"
 
     def _rpq(self, t: float) -> tuple[float, float, float]:
         a = self.alpha_shape
@@ -478,10 +472,10 @@ def check_validity(kernel, grid: np.ndarray | None = None, eps: float | None = N
     checks["derivative_vanishes_at_origin"] = (p_small <= max(origin_scale, 1e-10 * math.sqrt(max(r0 * q0, 1e-300))), {"|p(1e-8 tau)|": p_small})
 
     # Short-lag condition: (q0 - q(t))/t integrable on (0, eps].
-    spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-10 * max(q0, 1.0), endpoint="open-left",
-                          open_left_offset=1e-7 * tau)
+    spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-10 * max(q0, 1.0))
     try:
-        geman = integrate_finite(pointwise(lambda t: (q0 - kernel.eval(t).q) / t), 0.0, eps, spec)
+        geman = integrate_finite(pointwise(lambda t: (q0 - kernel.eval(t).q) / t), 0.0, eps, spec,
+                                 open_left=1e-7 * tau)
         checks["short_lag_integrable"] = (geman.converged, {"value": geman.value, "error": geman.error})
     except Exception as exc:  # noqa: BLE001 - report, never raise
         checks["short_lag_integrable"] = (False, {"exception": repr(exc)})

@@ -6,15 +6,20 @@ Adaptive one-dimensional integration tailored to the crossing integrands:
 
 * a nested Gauss(7)/Kronrod(15) pair with deterministic bisection refinement
   on finite intervals;
-* an ``open-left`` endpoint policy that never evaluates the integrand at the
+* an ``open_left`` endpoint policy that never evaluates the integrand at the
   lower endpoint, refining geometrically toward it (the excess-crossing
   integrand is 0/0 at lag zero, and the short-lag regime can hold an
   integrable singularity) and folding a bound for the unresolved stub into
   the error estimate;
 * two semi-infinite tail policies: an exponential map t = lo - L*ln(1-x)
-  for exponentially decaying integrands, and a fixed cutoff (a multiple of
-  the caller's timescale) with the tail bounded by the last panel for
-  heavy-tailed kernels.
+  for exponentially decaying integrands, and a fixed cutoff (50 times the
+  caller's timescale) with the tail bounded by the last panel for
+  power-law tails.
+
+``QuadratureSpec`` holds only the tolerances and the subdivision cap.  The
+caller passes the policies as arguments: the open-left offset, the
+breakpoints, the timescale and whether the tail is a power law.  The
+statistics fix theirs in one place (``crossings._assemble``).
 
 Everything is deterministic: fixed node sets, worst-interval-first
 bisection, no randomness.
@@ -58,27 +63,16 @@ class IntegrationError(ValueError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and policies for the adaptive integrator."""
+    """What a caller may set: the tolerances and the subdivision cap.  The
+    endpoint and tail policies are arguments of the integrators."""
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     max_subdivisions: int = 2000
-    endpoint: str = "closed"            # "closed" | "open-left"
-    open_left_offset: float | None = None  # absolute offset; default 1e-7*(hi-lo)
-    tail: str = "exp"                   # "exp" | "cutoff"
-    tail_cutoff: float = 50.0           # cutoff as a multiple of tail_scale
-    tail_scale: float = 1.0             # caller's characteristic timescale
-    breakpoints: tuple[float, ...] = () # optional interior seed points
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be > 0")
-        if self.tail_cutoff < 10.0:
-            raise ValueError("tail cutoff multiple must be >= 10")
-        if self.endpoint not in ("closed", "open-left"):
-            raise ValueError(f"unknown endpoint policy {self.endpoint!r}")
-        if self.tail not in ("exp", "cutoff"):
-            raise ValueError(f"unknown tail policy {self.tail!r}")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
 
@@ -89,14 +83,6 @@ class QuadratureResult:
     error: float
     evaluations: int
     converged: bool
-
-    def __add__(self, other: "QuadratureResult") -> "QuadratureResult":
-        return QuadratureResult(
-            value=self.value + other.value,
-            error=self.error + other.error,
-            evaluations=self.evaluations + other.evaluations,
-            converged=self.converged and other.converged,
-        )
 
 
 # Gauss(7)/Kronrod(15) nodes and weights on [-1, 1] (QUADPACK constants).
@@ -114,6 +100,8 @@ _WG = (
     0.1294849661688697, 0.2797053914892767, 0.3818300505051189,
     512.0 / 1225.0,
 )
+
+_CUTOFF = 50.0  # a power-law tail is integrated to this multiple of its timescale
 
 
 def pointwise(f: Callable[[float], float]) -> Callable[[Sequence[float]], list[float]]:
@@ -197,33 +185,32 @@ def _adaptive(f, segments: Sequence[tuple[float, float]], spec: QuadratureSpec) 
             return QuadratureResult(value, error, evals, error <= _tolerance(spec, value))
 
 
-def _split_segments(lo: float, hi: float, spec: QuadratureSpec) -> list[tuple[float, float]]:
-    points = sorted(p for p in spec.breakpoints if lo < p < hi)
-    edges = [lo, *points, hi]
-    return [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
+def _split_segments(lo: float, hi: float, breakpoints) -> list[tuple[float, float]]:
+    edges = [lo, *sorted(p for p in breakpoints if lo < p < hi), hi]
+    return list(zip(edges, edges[1:]))
 
 
 def integrate_finite(
-    f: Callable[[list[float]], Sequence[float]], lo: float, hi: float, spec: QuadratureSpec | None = None
+    f: Callable[[list[float]], Sequence[float]], lo: float, hi: float,
+    spec: QuadratureSpec | None = None, *, open_left: float | None = None, breakpoints=(),
 ) -> QuadratureResult:
-    """Integrate f on [lo, hi] (or (lo, hi] under the open-left policy)."""
+    """Integrate f on [lo, hi], seeding the segments at the interior
+    ``breakpoints``.  With an ``open_left`` offset > 0 it integrates on
+    (lo, hi] and never evaluates f at lo."""
     spec = spec or QuadratureSpec()
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if spec.endpoint == "closed":
-        return _adaptive(f, _split_segments(lo, hi, spec), spec)
+    if open_left is None:
+        return _adaptive(f, _split_segments(lo, hi, breakpoints), spec)
 
     # Open-left: adaptive pass on [lo+offset, hi], then geometric panels
     # shrinking toward lo; the final unresolved stub is bounded by
     # width * |f| at its right edge and folded into the error estimate.
-    offset = spec.open_left_offset
-    if offset is None:
-        offset = 1e-7 * (hi - lo)
-    offset = min(offset, 1e-3 * (hi - lo))
+    offset = min(open_left, 1e-3 * (hi - lo))
     # The main pass targets half the tolerance so the endpoint-panel and
     # stub-bound additions below cannot push the total over budget.
     main_spec = replace(spec, rel_tol=0.5 * spec.rel_tol, abs_tol=0.5 * spec.abs_tol)
-    main = _adaptive(f, _split_segments(lo + offset, hi, spec), main_spec)
+    main = _adaptive(f, _split_segments(lo + offset, hi, breakpoints), main_spec)
     value = main.value
     error = main.error
     evals = main.evaluations
@@ -248,50 +235,41 @@ def integrate_finite(
 
 
 def integrate_semi_infinite(
-    f: Callable[[list[float]], Sequence[float]], lo: float, spec: QuadratureSpec | None = None
+    f: Callable[[list[float]], Sequence[float]], lo: float, spec: QuadratureSpec | None = None,
+    *, scale: float = 1.0, power_law: bool = False, open_left: float | None = None,
 ) -> QuadratureResult:
-    """Integrate f on [lo, inf) under the spec's tail policy."""
+    """Integrate f on [lo, inf), where f decays on the timescale ``scale``.
+
+    An exponentially decaying f goes through the map t = lo - 4 scale
+    ln(1-x).  A ``power_law`` tail would be amplified by that map, so f is
+    integrated to lo + 50 scale instead and the discarded tail is bounded
+    by the last panel.  ``open_left`` is an offset in t, as for
+    ``integrate_finite``.
+    """
     spec = spec or QuadratureSpec()
-    if spec.tail == "cutoff":
-        hi = lo + spec.tail_cutoff * spec.tail_scale
-        inner = replace(spec, breakpoints=tuple(spec.breakpoints) or _default_breaks(lo, hi, spec))
-        result = integrate_finite(f, lo, hi, inner)
+    if power_law:
+        hi = lo + _CUTOFF * scale
+        # Seed at doubling multiples of the timescale so the adaptive pass
+        # cannot overlook structure concentrated near the origin.
+        breaks = [lo + m * scale for m in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)]
+        result = integrate_finite(f, lo, hi, spec, open_left=open_left, breakpoints=breaks)
         # Bound the discarded tail by the magnitude of the last panel.
-        width = spec.tail_scale
-        last, last_err = _gk15(f, hi - width, hi)
-        tail_bound = abs(last) + last_err
-        error = result.error + tail_bound
-        converged = error <= _tolerance(spec, result.value)
-        return QuadratureResult(result.value, error, result.evaluations + 15, converged)
+        last, last_err = _gk15(f, hi - scale, hi)
+        error = result.error + (abs(last) + last_err)
+        return QuadratureResult(result.value, error, result.evaluations + 15,
+                                error <= _tolerance(spec, result.value))
 
     # Exponential map: t = lo - L*ln(1-x), dt = L/(1-x) dx, x in [0, 1).
-    scale = 4.0 * spec.tail_scale
+    length = 4.0 * scale
 
     def g(xs: list[float]) -> list[float]:
         one_minus = [1.0 - x for x in xs]
         # An x rounded to 1.0 at floating-point resolution maps to no lag.
-        values = iter(f([lo - scale * math.log(m) for m in one_minus if m > 0.0]))
-        return [next(values) * scale / m if m > 0.0 else 0.0 for m in one_minus]
+        values = iter(f([lo - length * math.log(m) for m in one_minus if m > 0.0]))
+        return [next(values) * length / m if m > 0.0 else 0.0 for m in one_minus]
 
-    inner = replace(
-        spec,
-        breakpoints=tuple(
-            b for b in (0.25, 0.5, 0.75, 0.9375, 0.99609375) if 0.0 < b < 1.0
-        ),
+    # The open-left offset in x units: x_off = 1 - e^{-off/L}.
+    return integrate_finite(
+        g, 0.0, 1.0, spec, breakpoints=(0.25, 0.5, 0.75, 0.9375, 0.99609375),
+        open_left=None if open_left is None else -math.expm1(-open_left / length),
     )
-    if spec.endpoint == "open-left" and spec.open_left_offset is not None:
-        # Preserve the open-left offset in t units: x_off = 1 - e^{-off/L}.
-        inner = replace(inner, open_left_offset=-math.expm1(-spec.open_left_offset / scale))
-    return integrate_finite(g, 0.0, 1.0, inner)
-
-
-def _default_breaks(lo: float, hi: float, spec: QuadratureSpec) -> tuple[float, ...]:
-    # Seed the cutoff interval at timescale multiples so the adaptive pass
-    # cannot overlook structure concentrated near the origin.
-    breaks = []
-    step = spec.tail_scale
-    mult = 1.0
-    while lo + mult * step < hi:
-        breaks.append(lo + mult * step)
-        mult *= 2.0
-    return tuple(breaks)

@@ -1,10 +1,12 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
+import argparse
 import json
 import math
 
 import pytest
 
+from levelcross import cli
 from levelcross.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -88,25 +90,43 @@ class TestUsageErrors:
         (["stats", "--horizon", "nan"], "--horizon"),
         (["stats", "--rel-tol", "0"], "--rel-tol"),
         (["stats", "--abs-tol", "-1"], "--abs-tol"),
-        (["stats", "--tail-cutoff", "5"], "--tail-cutoff"),
         (["stats", "--u", "nan"], "--u"),
         (["sweep", "--axis", "u:0:1:2", "--rel-tol", "0"], "--rel-tol"),
         (["sweep", "--axis", "u:0:1:2", "--abs-tol", "-1"], "--abs-tol"),
-        (["sweep", "--axis", "u:0:1:2", "--tail-cutoff", "5"], "--tail-cutoff"),
         (["sweep", "--axis", "u:nan:2:3"], "--axis"),
         (["sweep", "--axis", "u:0:1:2", "--jobs", "0"], "--jobs"),
         (["sweep", "--axis", "u:0:1:2", "--jobs", "-3"], "--jobs"),
+        (["simulate", "--seed", "-1"], "--seed"),
+        (["verify", "--seed", "-1"], "--seed"),
+        (["verify", "--draws", "0"], "--draws"),
+        (["verify", "--draws", "-3"], "--draws"),
     ]
 
     @pytest.mark.parametrize("argv, flag", BAD_NUMBERS, ids=[" ".join(a) for a, _ in BAD_NUMBERS])
     def test_bad_numeric_input_is_usage_error(self, capsys, tmp_path, argv, flag):
         out = tmp_path / "sweep.csv"
         extra = ["--out", str(out)] if argv[0] == "sweep" else []
-        code, text, err = run(capsys, argv[0], "--kernel", "sdho", *argv[1:], *extra)
+        kernel = [] if argv[0] == "verify" else ["--kernel", "sdho"]
+        code, text, err = run(capsys, argv[0], *kernel, *argv[1:], *extra)
         assert code == EXIT_USAGE
         assert text == "" and not out.exists()
         assert len(err.splitlines()) == 1
         assert err.startswith("usage error: ") and flag in err
+
+    FOREIGN_PARAMETERS = [
+        (["stats", "--kernel", "se", "--zeta", "5"], "--zeta", "se"),
+        (["sweep", "--kernel", "sdho", "--axis", "u:0:1:2", "--tau-f", "0.1"], "--tau-f", "sdho"),
+        (["simulate", "--kernel", "ou", "--alpha-shape", "2"], "--alpha-shape", "ou"),
+    ]
+
+    @pytest.mark.parametrize("argv, flag, family", FOREIGN_PARAMETERS,
+                             ids=[a[0] for a, _, _ in FOREIGN_PARAMETERS])
+    def test_parameter_of_another_family_is_usage_error(self, capsys, tmp_path, argv, flag, family):
+        out = tmp_path / "out.csv"
+        code, text, err = run(capsys, *argv, "--out", str(out))
+        assert code == EXIT_USAGE
+        assert text == "" and not out.exists()
+        assert err == f"usage error: {flag} is not a parameter of {family!r}\n"
 
     def test_repeated_axis_is_usage_error(self, capsys, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -311,6 +331,26 @@ class TestConfig:
         cfg.write_text("kernel = sdho\nwavelength = 3\n")
         code, _, _ = run(capsys, "stats", "--config", str(cfg))
         assert code == EXIT_USAGE
+
+    def test_tail_cutoff_is_unknown_key(self, capsys, tmp_path):
+        # The statistics fix their tail policy; no option sets the cutoff.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kernel = rq\ntail_cutoff = 50\n")
+        code, out, err = run(capsys, "stats", "--config", str(cfg))
+        assert code == EXIT_USAGE and out == ""
+        assert err == "usage error: unknown config keys: ['tail_cutoff']\n"
+
+    def test_every_config_key_is_a_flag(self):
+        # A config key a command accepts but has no flag for would be read
+        # and then ignored.
+        defaults = {"stats": cli._STATS_DEFAULTS, "sweep": cli._SWEEP_DEFAULTS,
+                    "simulate": cli._SIM_DEFAULTS, "verify": cli._VERIFY_DEFAULTS}
+        subs = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+        assert sorted(subs.choices) == sorted(defaults)
+        for name, parser in subs.choices.items():
+            flags = {a.dest for a in parser._actions}
+            assert set(defaults[name]) <= flags, name
 
 
 class TestSimulate:
