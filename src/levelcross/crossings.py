@@ -25,7 +25,9 @@ Where each piece comes from:
   fed by ``_lag``: everything at a lag t that does not depend on the level
   (the kernel evaluation, the weak-correlation test and the level-free part
   of ``abg_params``); the zero-level arctan integrands are kept apart as an
-  independent reference;
+  independent reference, except at weak-correlation lags, where they share
+  ``_linearized``: the arctan form there leaves only a roundoff floor, which
+  the tail map would integrate over lags up to ~1e16 tau_slow;
 * ``_excess``, ``_bracket`` and ``_linearized`` are each written once and
   take either Python floats (one level at one lag, through ``math``) or
   arrays of levels x lags (``xp=_Arrays``), with the same bits in every
@@ -460,27 +462,19 @@ def integrand_total(kernel: Kernel, u: float, t: float) -> float:
     return _excess(kernel, u, _lag(kernel, t), total=True)
 
 
-def _integrand_zero_up(kernel: Kernel, t: float) -> float:
-    """Zero-level upcrossing excess integrand, dedicated arctan form."""
-    prm = abg_params(kernel, 0.0, t)
-    ab = prm.alpha * prm.beta
-    a_ratio = math.sqrt(prm.alpha / prm.beta)
-    bracket = 1.0 / math.sqrt(ab) + (prm.alpha - prm.beta) / ab * math.atan(a_ratio)
-    return bracket / (8.0 * math.pi**2 * math.sqrt(prm.rr_diff)) - (
-        kernel.q0 / kernel.r0 / (4.0 * math.pi**2)
-    )
-
-
-def _integrand_zero_total(kernel: Kernel, t: float) -> float:
-    """Zero-level total-crossing excess integrand, dedicated arctan form."""
-    prm = abg_params(kernel, 0.0, t)
-    ab = prm.alpha * prm.beta
-    a_ratio = math.sqrt(prm.alpha / prm.beta)
-    bracket = 1.0 / math.sqrt(ab) + (prm.alpha - prm.beta) / ab * math.atan(
-        (a_ratio - 1.0) / (a_ratio + 1.0)
-    )
-    return bracket / (2.0 * math.pi**2 * math.sqrt(prm.rr_diff)) - (
-        kernel.q0 / kernel.r0 / math.pi**2
+def _integrand_zero(kernel: Kernel, t: float, total: bool) -> float:
+    """Zero-level excess integrand, up or total: the dedicated arctan form,
+    and the weak-correlation expansion at weak lags."""
+    lag = _lag(kernel, t)
+    if isinstance(lag, KernelDerivatives):
+        return _linearized(kernel, 0.0, lag, total)
+    alpha, beta, _, _, rr_diff, _, _ = lag
+    ab = alpha * beta
+    a_ratio = math.sqrt(alpha / beta)
+    angle = math.atan((a_ratio - 1.0) / (a_ratio + 1.0)) if total else math.atan(a_ratio)
+    bracket = 1.0 / math.sqrt(ab) + (alpha - beta) / ab * angle
+    return bracket / ((2.0 if total else 8.0) * math.pi**2 * math.sqrt(rr_diff)) - (
+        kernel.q0 / kernel.r0 / ((1.0 if total else 4.0) * math.pi**2)
     )
 
 
@@ -543,11 +537,10 @@ def _assemble(
     warnings = _gate(kernel)
     tau = kernel.tau_slow
     # The integration policy of every statistic: f is 0/0 at lag 0, so the
-    # left end stays open, and the tail decays on tau_slow.
+    # left end stays open, and one tail map on tau_slow serves every family.
     open_left = 1e-7 * tau
     if T is None:
-        result = integrate_semi_infinite(f, 0.0, spec, scale=tau, power_law=kernel.power_law_tail,
-                                         open_left=open_left)
+        result = integrate_semi_infinite(f, 0.0, spec, scale=tau, open_left=open_left)
         scale = 2.0
     else:
         breaks = [m * tau for m in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)]
@@ -632,17 +625,21 @@ def zero_level_stats(
 ) -> CrossingStats:
     """Zero-level statistics through the dedicated arctan-form integrands.
 
-    An independent cross-check path: it never touches erf or Owen's T.
+    An independent cross-check path: it never touches erf or Owen's T, and
+    shares only the weak-correlation expansion with the general path.
     T=None computes the asymptotic rates, otherwise the finite-T variance.
     """
     mode = _mode(mode)
-    zero = _integrand_zero_total if mode is CrossingMode.TOTAL else _integrand_zero_up
-    return _assemble(kernel, 0.0, mode, pointwise(functools.partial(zero, kernel)), T, spec)
+    zero = functools.partial(_integrand_zero, kernel, total=mode is CrossingMode.TOTAL)
+    return _assemble(kernel, 0.0, mode, pointwise(zero), T, spec)
 
 
 def _unit_kernel(family: str, shape: dict) -> Kernel:
     from . import kernels as K
 
+    key = {"sdho": "zeta", "ou_mean_revert": "kappa", "rational_quadratic": "alpha_shape"}.get(family)
+    if key is not None and key not in shape:
+        raise ValueError(f"family {family!r} needs the shape parameter {key!r}")
     if family == "sdho":
         return K.make_sdho(1.0, shape["zeta"], 1.0)
     if family == "ou_mean_revert":

@@ -76,7 +76,6 @@ class Kernel(ABC):
     amplitude   sigma such that r(t) = sigma^2 * g(t/timescale; shape)
     timescale   tau of the same dimensionless decomposition
     shape       dimensionless shape parameters (dict)
-    power_law_tail  r(t) decays as a power of t (sets the statistics' tail policy)
     """
 
     family: str
@@ -88,7 +87,6 @@ class Kernel(ABC):
     amplitude: float
     timescale: float
     shape: dict
-    power_law_tail = False
 
     def __init__(self):
         # Crossing-statistics caches, declared so filling them keeps the instance compact.
@@ -299,10 +297,6 @@ class RationalQuadraticKernel(Kernel):
     """r(t) = sigma^2 (1 + t^2/(2 alpha tau^2))^{-alpha}; power-law tail t^{-2 alpha}."""
 
     family = "rational_quadratic"
-    # Power-law correlation decay for every finite alpha_shape: the
-    # exponential tail map would amplify the tail by e^{t/L}, so the
-    # statistics integrate to a cutoff and bound the remainder.
-    power_law_tail = True
 
     def __init__(self, sigma: float, tau: float, alpha_shape: float):
         super().__init__()

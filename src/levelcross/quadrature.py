@@ -11,15 +11,16 @@ Adaptive one-dimensional integration tailored to the crossing integrands:
   integrand is 0/0 at lag zero, and the short-lag regime can hold an
   integrable singularity) and folding a bound for the unresolved stub into
   the error estimate;
-* two semi-infinite tail policies: an exponential map t = lo - L*ln(1-x)
-  for exponentially decaying integrands, and a fixed cutoff (50 times the
-  caller's timescale) with the tail bounded by the last panel for
-  power-law tails.
+* one semi-infinite tail map, t = lo + L x/(1-x) with L = 4 times the
+  caller's timescale (the standard semi-infinite substitution of QUADPACK,
+  Piessens et al. 1983): it folds [lo, inf) onto [0, 1) for exponential
+  and power-law tails alike, so every tail is integrated to the end and
+  bounded by the same Gauss-Kronrod error estimate.
 
 ``QuadratureSpec`` holds only the tolerances and the subdivision cap.  The
 caller passes the policies as arguments: the open-left offset, the
-breakpoints, the timescale and whether the tail is a power law.  The
-statistics fix theirs in one place (``crossings._assemble``).
+breakpoints and the timescale.  The statistics fix theirs in one place
+(``crossings._assemble``).
 
 Everything is deterministic: fixed node sets, worst-interval-first
 bisection, no randomness.
@@ -100,8 +101,6 @@ _WG = (
     0.1294849661688697, 0.2797053914892767, 0.3818300505051189,
     512.0 / 1225.0,
 )
-
-_CUTOFF = 50.0  # a power-law tail is integrated to this multiple of its timescale
 
 
 def pointwise(f: Callable[[float], float]) -> Callable[[Sequence[float]], list[float]]:
@@ -236,40 +235,26 @@ def integrate_finite(
 
 def integrate_semi_infinite(
     f: Callable[[list[float]], Sequence[float]], lo: float, spec: QuadratureSpec | None = None,
-    *, scale: float = 1.0, power_law: bool = False, open_left: float | None = None,
+    *, scale: float = 1.0, open_left: float | None = None,
 ) -> QuadratureResult:
-    """Integrate f on [lo, inf), where f decays on the timescale ``scale``.
+    """Integrate f on [lo, inf), where f varies on the timescale ``scale``.
 
-    An exponentially decaying f goes through the map t = lo - 4 scale
-    ln(1-x).  A ``power_law`` tail would be amplified by that map, so f is
-    integrated to lo + 50 scale instead and the discarded tail is bounded
-    by the last panel.  ``open_left`` is an offset in t, as for
-    ``integrate_finite``.
+    The map t = lo + L x/(1-x), L = 4 scale, dt = L/(1-x)^2 dx, takes any
+    tail that decays faster than 1/t to an integrable one on [0, 1); the
+    segments are seeded at t = lo + m scale, m in {0.5, 2, 8, 32}.
+    ``open_left`` is an offset in t, as for ``integrate_finite``.
     """
     spec = spec or QuadratureSpec()
-    if power_law:
-        hi = lo + _CUTOFF * scale
-        # Seed at doubling multiples of the timescale so the adaptive pass
-        # cannot overlook structure concentrated near the origin.
-        breaks = [lo + m * scale for m in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)]
-        result = integrate_finite(f, lo, hi, spec, open_left=open_left, breakpoints=breaks)
-        # Bound the discarded tail by the magnitude of the last panel.
-        last, last_err = _gk15(f, hi - scale, hi)
-        error = result.error + (abs(last) + last_err)
-        return QuadratureResult(result.value, error, result.evaluations + 15,
-                                error <= _tolerance(spec, result.value))
-
-    # Exponential map: t = lo - L*ln(1-x), dt = L/(1-x) dx, x in [0, 1).
     length = 4.0 * scale
 
     def g(xs: list[float]) -> list[float]:
         one_minus = [1.0 - x for x in xs]
         # An x rounded to 1.0 at floating-point resolution maps to no lag.
-        values = iter(f([lo - length * math.log(m) for m in one_minus if m > 0.0]))
-        return [next(values) * length / m if m > 0.0 else 0.0 for m in one_minus]
+        values = iter(f([lo + length * x / m for x, m in zip(xs, one_minus) if m > 0.0]))
+        return [next(values) * length / (m * m) if m > 0.0 else 0.0 for m in one_minus]
 
-    # The open-left offset in x units: x_off = 1 - e^{-off/L}.
+    # The open-left offset in x units: x_off = off/(L + off).
     return integrate_finite(
-        g, 0.0, 1.0, spec, breakpoints=(0.25, 0.5, 0.75, 0.9375, 0.99609375),
-        open_left=None if open_left is None else -math.expm1(-open_left / length),
+        g, 0.0, 1.0, spec, breakpoints=[m / (m + 4.0) for m in (0.5, 2.0, 8.0, 32.0)],
+        open_left=None if open_left is None else open_left / (length + open_left),
     )

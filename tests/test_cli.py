@@ -47,6 +47,15 @@ class TestStats:
         assert doc["converged"] is True
         assert doc["var_rate"] > 0
 
+    @pytest.mark.parametrize("shape", [(), ("--alpha-shape", "0.75")])
+    def test_rq_converges(self, capsys, shape):
+        # The power-law tail is integrated to the end, so rq converges.
+        code, out, _ = run(capsys, "stats", "--kernel", "rq", "--u", "0.5", *shape, "--json")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["converged"] is True
+        assert doc["var_rate"] > 0
+
     def test_horizon_block(self, capsys):
         code, out, _ = run(capsys, "stats", "--kernel", "sdho", "--u", "0.5",
                            "--horizon", "50", "--json")
@@ -273,11 +282,12 @@ class TestSweep:
         assert cli._parser() is cli._parser()
 
     def test_nonconverged_rows_exit_numeric(self, capsys, tmp_path):
-        # rq with alpha_shape 0.75 does not converge at default settings; the
+        # A relative tolerance below double precision cannot be met; the
         # sweep still writes every row but exits with the non-convergence code.
         out = tmp_path / "sweep.csv"
-        code, text, _ = run(capsys, "sweep", "--kernel", "rq", "--alpha-shape", "0.75",
-                            "--axis", "u:0:1:2", "--quantity", "fano", "--out", str(out))
+        code, text, _ = run(capsys, "sweep", "--kernel", "sdho", "--axis", "u:0:1:2",
+                            "--rel-tol", "1e-16", "--abs-tol", "1e-300",
+                            "--quantity", "fano", "--out", str(out))
         assert code == EXIT_NUMERIC
         assert "wrote 2 rows" in text
         lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]

@@ -126,6 +126,12 @@ class TestIntegrands:
     def test_vanishes_at_long_lag(self):
         assert abs(integrand_up(SE, 0.5, 60.0)) < 1e-12
         assert abs(integrand_total(SE, 0.5, 60.0)) < 1e-12
+        # The zero-level arctan forms share the weak-correlation branch, so
+        # they leave no roundoff floor for the tail map to integrate.
+        for k in (make_sdho(1.37338, 1.85615, 1.14617), make_ou_mean_revert(1.0, 0.3, 1.0)):
+            t = 1e3 * k.tau_slow
+            assert crossings._integrand_zero(k, t, total=False) == integrand_up(k, 0.0, t)
+            assert crossings._integrand_zero(k, t, total=True) == integrand_total(k, 0.0, t)
 
     def test_linearized_handover_continuity(self):
         # SE correlation level crosses the 1e-4 switch near t ~ 5.0; the
@@ -348,9 +354,12 @@ class TestVariance:
         assert st.variance == pytest.approx(st.mean, rel=1e-5)
 
     def test_asymptotic_rate_positive_and_converged(self):
-        st = variance_rate_asymptotic(SDHO, 0.5, "up")
-        assert st.variance > 0
-        assert st.quad_converged
+        # Every family converges at default settings, power-law tails too.
+        for kernel in (SDHO, make_ou_mean_revert(1.0, 0.5, 1.0), SE,
+                       make_rational_quadratic(1.0, 1.0, 0.75), make_rational_quadratic(1.0, 1.0, 2.0)):
+            st = variance_rate_asymptotic(kernel, 0.5, "up")
+            assert st.variance > 0
+            assert st.quad_converged, kernel.params
 
     def test_total_variance_not_twice_up(self):
         # Up and down crossings are correlated: the total-count variance
@@ -399,7 +408,7 @@ class TestFano:
 class TestZeroLevel:
     def test_matches_general_path(self):
         kernels = [make_sdho(1.0, 0.5, 1.0), SDHO, make_sdho(1.0, 2.5, 1.0),
-                   make_ou_mean_revert(1.0, 0.5, 1.0),
+                   make_sdho(1.37338, 1.85615, 1.14617), make_ou_mean_revert(1.0, 0.5, 1.0),
                    make_rational_quadratic(1.0, 1.0, 2.0), SE]
         for k in kernels:
             for mode in ("up", "total"):
@@ -431,6 +440,13 @@ class TestDimensionless:
             assert fano(k, psi * sigma) == pytest.approx(
                 dimensionless_fano("squared_exponential", psi), abs=1e-10
             )
+
+    @pytest.mark.parametrize("family, key", [
+        ("sdho", "zeta"), ("ou_mean_revert", "kappa"), ("rational_quadratic", "alpha_shape"),
+    ])
+    def test_missing_shape_names_parameter(self, family, key):
+        with pytest.raises(ValueError, match=repr(key)):
+            dimensionless_fano(family, 0.5)
 
     def test_accepts_kernel_instance(self):
         k = make_sdho(1.0, 0.5, 1.0)
