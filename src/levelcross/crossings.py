@@ -31,9 +31,12 @@ Where each piece comes from:
 * ``_excess``, ``_bracket`` and ``_linearized`` are each written once and
   take either Python floats (one level at one lag, through ``math``) or
   arrays of levels x lags (``xp=_Arrays``), with the same bits in every
-  element: numpy's arithmetic and square root round as Python's do, while
-  exp, erf and powers go element by element through the same functions as
-  the float path;
+  element (the operations are those of :mod:`levelcross._xp`, which the
+  kernels' closed forms use too);
+* ``_lags`` is ``_lag`` over the lags of a whole panel, with the same bits:
+  one ``Kernel.eval_array`` call for the direct lags, one ``_horner`` pass
+  over the four short-lag series polynomials, and ``_lag_params``'
+  arithmetic (``_lag_fields``) and checks on arrays;
 * ``_assemble`` is the only variance-assembly path (validity gate,
   breakpoints, mean + 2 int I, clamping) behind ``variance_count``,
   ``variance_rate_asymptotic``, ``fano`` and ``zero_level_stats``;
@@ -63,10 +66,12 @@ also takes a sequence of levels (one sweep row).  Each level keeps its own
 adaptive mesh, so every result equals its single-level call bit for bit, but
 the quadrature asks for a whole panel of lags at a time (see
 :mod:`levelcross.quadrature`), and the first level to ask for a panel gets
-every level's values there from one array expression (``_panel``).  The
-other levels read them from a table keyed by the panel's lags; it lives for
-that one call and is never stored on the kernel.  Only a call with more than
-one level takes the array path: for one level the float path is faster.
+every level's values there at once (``_panel``): the level-free work as
+arrays over the panel's lags (``_lags``), then one array expression per
+regime.  The other levels read them from a table keyed by the panel's lags;
+it lives for that one call and is never stored on the kernel.  Only a call
+with more than one level takes the array path; a single level keeps the
+float path (``_lag``), the reference the array path is tested against.
 """
 
 from __future__ import annotations
@@ -79,8 +84,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _xp
 from .kernels import Kernel, KernelDerivatives, check_validity
-from .quadrature import QuadratureSpec, integrate_finite, integrate_semi_infinite, pointwise
+from .quadrature import (QuadratureResult, QuadratureSpec, integrate_finite,
+                         integrate_semi_infinite, pointwise)
 from .special import erf, owens_t
 
 __all__ = [
@@ -257,13 +264,17 @@ def _lag_params(kernel: Kernel, t: float, d: KernelDerivatives | None = None) ->
         raise DegenerateLagError(
             f"denominator sign lost at t={t} (D_alpha={d_alpha}, D_beta={d_beta})"
         )
-    alpha = -rp / (2.0 * d_alpha)
-    beta = rm / (2.0 * d_beta)
-    delta = 1.0 / rp
-    det = d_alpha * d_beta
-    if not (alpha > 0.0 and beta > 0.0 and delta > 0.0):
+    lag = _lag_fields(p, rm, rp, d_alpha, d_beta)
+    if not (lag[0] > 0.0 and lag[1] > 0.0 and lag[2] > 0.0):
         raise DegenerateLagError(f"parameter positivity lost at t={t}")
-    return alpha, beta, delta, det, rr_diff, math.sqrt(2.0) * p, rp
+    return lag
+
+
+def _lag_fields(p, rm, rp, d_alpha, d_beta) -> tuple:
+    """``_lag_params``' tuple from p, r - r0, r + r0 and the denominators
+    D_alpha, D_beta: floats, or arrays with the same bits in every element."""
+    return (-rp / (2.0 * d_alpha), rm / (2.0 * d_beta), 1.0 / rp, d_alpha * d_beta,
+            -rm * rp, math.sqrt(2.0) * p, rp)
 
 
 def abg_params(kernel: Kernel, u: float, t: float,
@@ -280,8 +291,7 @@ def abg_params(kernel: Kernel, u: float, t: float,
 def _lag(kernel: Kernel, t: float):
     """All the excess integrand's work at lag t that does not depend on u:
     the ``KernelDerivatives`` in the weak-correlation regime, otherwise the
-    ``_lag_params`` tuple.  The levels of one call share it (see
-    ``variance_rate_asymptotic``)."""
+    ``_lag_params`` tuple."""
     d = None
     if t >= _SERIES_FRACTION * kernel.series_scale:
         d = kernel.eval(t)
@@ -291,45 +301,70 @@ def _lag(kernel: Kernel, t: float):
     return _lag_params(kernel, t, d)
 
 
+def _lags(kernel: Kernel, t: np.ndarray) -> list:
+    """``_lag`` over an array of lags, with the same bits, as (columns, lag)
+    pairs: the ``KernelDerivatives`` of the weak-correlation lags and the
+    ``_lag_params`` fields of the others, as arrays in node order.  If a lag
+    fails one of ``_lag_params``' checks, ``_lag`` raises its error at the
+    first such lag."""
+    r0, q0 = kernel.r0, kernel.q0
+    series = t < _SERIES_FRACTION * kernel.series_scale
+    n_series = np.count_nonzero(series)
+    # Column selectors: a mask, or every column when one regime holds them all.
+    direct = slice(None) if n_series == 0 else ~series
+    series = slice(None) if n_series == len(t) else series
+    values = np.empty((5, len(t)))  # p, r - r0, r + r0, D_alpha, D_beta
+    strong, groups = slice(None), []
+    if n_series:
+        # _horner on the four polynomials at once, laid end to end in flat
+        # arrays (numpy costs less per call on them than on (4, lags) ones).
+        ts = t[series]
+        p, rm, d_alpha, d_beta = _horner(np.repeat(_abg_polys(kernel).T, len(ts), axis=1),
+                                         np.concatenate([ts] * 4)).reshape(4, -1)
+        values[:, series] = p, rm, rm + 2.0 * r0, d_alpha, d_beta
+    if n_series < len(t):
+        d = kernel.eval_array(t[direct])
+        weak = np.maximum(np.maximum(abs(d.r) / r0, abs(d.q) / q0),
+                          abs(d.p) / math.sqrt(r0 * q0)) < _WEAK_CORRELATION
+        rm, rp, pp = d.r - r0, d.r + r0, d.p * d.p
+        values[:, direct] = d.p, rm, rp, pp + (d.q - q0) * rp, pp + (d.q + q0) * rm
+        if np.count_nonzero(weak):
+            cols = np.zeros(len(t), dtype=bool)
+            cols[direct] = weak
+            groups.append((cols, KernelDerivatives(*(field[weak] for field in d))))
+            strong = ~cols
+    p, rm, rp, d_alpha, d_beta = values[:, strong]
+    if not p.size:
+        return groups
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # checked below
+        lag = _lag_fields(p, rm, rp, d_alpha, d_beta)
+    alpha, beta, delta, _, rr_diff, _, _ = lag
+    # Every check of _lag_params at once; a NaN fails them too.
+    positive = np.array([t[strong], rr_diff, -d_alpha, -d_beta, alpha, beta, delta])
+    if not (positive.min() > 0.0 and rr_diff.max() < math.inf):
+        for lag_t in t.tolist():  # the float path, in node order, raises at the first failure
+            _lag(kernel, lag_t)
+    return groups + [(strong, lag)]
+
+
 # -- closed-form integrands ---------------------------------------------------
 
-def _each(fn):
-    """fn applied element by element through Python floats.  numpy's own exp
-    and powers round differently from the C library's on some inputs, so the
-    array path makes the same calls as the float path."""
-    return lambda x: np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
-
-
-class _Floats:
-    """The elementary operations of the excess formula on Python floats:
-    one level."""
-
-    exp, sqrt, erf, stack = math.exp, math.sqrt, erf, np.array
+class _Floats(_xp._Floats):
+    """The elementary operations of the excess formula on Python floats: one
+    level.  Owen's T is this module's name at call time, on both paths."""
 
     @staticmethod
     def owens_t(h, a):
         return float(owens_t(h, a))
 
-    @staticmethod
-    def cube(x):
-        return x**3
 
-
-class _Arrays:
-    """The same operations, element by element, on (levels x lags) arrays:
-    many levels.  Each element equals the float path's value bit for bit
-    (numpy's + - * / and sqrt round as Python's; exp, erf and powers go
-    through the float path's functions; ``owens_t`` is one ufunc)."""
-
-    exp, erf, cube, sqrt = _each(math.exp), _each(erf), _each(_Floats.cube), np.sqrt
+class _Arrays(_xp._Arrays):
+    """The same operations on (levels x lags) arrays: many levels, with the
+    float path's bits in every element (``owens_t`` is one ufunc)."""
 
     @staticmethod
-    def owens_t(h, a):  # the module's name at call time, as on the float path
+    def owens_t(h, a):
         return owens_t(h, a)
-
-    @staticmethod
-    def stack(parts):
-        return np.stack(np.broadcast_arrays(*parts), axis=-1)
 
 
 def _bracket(alpha, beta, gamma, total: bool, xp=_Floats):
@@ -438,17 +473,13 @@ def _excess(kernel: Kernel, u, lag, total: bool, xp=_Floats):
 
 
 def _panel(kernel: Kernel, levels: np.ndarray, ts, total: bool) -> list[list[float]]:
-    """Every level's excess at every lag of one quadrature panel: one array
-    expression per regime (weak-correlation lags and the rest), as one
-    list of floats per level."""
-    lags = [_lag(kernel, t) for t in ts]
-    values = np.empty((len(levels), len(lags)))
-    for weak in (False, True):
-        cols = [i for i, lag in enumerate(lags) if isinstance(lag, KernelDerivatives) is weak]
-        if cols:
-            fields = np.array([lags[i] for i in cols]).T
-            values[:, cols] = _excess(kernel, levels, KernelDerivatives(*fields) if weak else fields,
-                                      total, _Arrays)
+    """Every level's excess at every lag of one quadrature panel, as one list
+    of floats per level: the level-free work as arrays over the panel's lags
+    (``_lags``), then one array expression per regime (weak-correlation lags
+    and the rest)."""
+    values = np.empty((len(levels), len(ts)))
+    for cols, lag in _lags(kernel, np.array(ts, dtype=float)):
+        values[:, cols] = _excess(kernel, levels, lag, total, _Arrays)
     return values.tolist()
 
 
@@ -531,7 +562,8 @@ def _assemble(
     of length T, mean + 2T int_0^T (1-t/T) f, with breakpoints at multiples
     of tau_slow.  ``spec`` holds the caller's tolerances only.  A negative
     result within 10x the quadrature error is clamped to 0 with a warning;
-    beyond that it is a bug signal and raises.
+    beyond that it is a bug signal and raises.  A level so far out that the
+    mean underflows to 0 has variance 0, and f is never called there.
     """
     mean = mean_rate(kernel, u, mode) if T is None else mean_count(kernel, u, T, mode)
     warnings = _gate(kernel)
@@ -539,7 +571,10 @@ def _assemble(
     # The integration policy of every statistic: f is 0/0 at lag 0, so the
     # left end stays open, and one tail map on tau_slow serves every family.
     open_left = 1e-7 * tau
-    if T is None:
+    if mean == 0.0:
+        result = QuadratureResult(0.0, 0.0, 0, True)
+        scale = 0.0
+    elif T is None:
         result = integrate_semi_infinite(f, 0.0, spec, scale=tau, open_left=open_left)
         scale = 2.0
     else:
@@ -588,16 +623,20 @@ def variance_rate_asymptotic(
     Each level keeps its own adaptive mesh.  With more than one level, the
     first level to ask for a quadrature panel computes every level's values
     there at once (``_panel``), and the others read them from a table that
-    lives for this call only.
+    lives for this call only.  If a lag fails a check, the call raises what
+    the single-level call of the first level to fail raises.
     """
     mode = _mode(mode)
     if np.ndim(u) == 0:
         return _assemble(kernel, u, mode, _pick_integrand(kernel, u, mode), None, spec)
-    if len(u) == 1:  # one level: the float path is faster
+    if len(u) == 1:  # one level: the float path
         return (variance_rate_asymptotic(kernel, u[0], mode, spec),)
     total = mode is CrossingMode.TOTAL
-    levels = np.array(u, dtype=float)[:, None]
-    table = {}  # a panel's lags -> every level's values there
+    # The levels whose mean underflows never integrate (see _assemble).
+    live = [i for i, level in enumerate(u) if mean_rate(kernel, level, mode) != 0.0]
+    levels = np.array([u[i] for i in live], dtype=float)[:, None]
+    row = dict(zip(live, range(len(live))))  # a level's row in the panel values
+    table = {}  # a panel's lags -> every live level's values there
 
     def panel(ts):
         key = tuple(ts)
@@ -605,7 +644,7 @@ def variance_rate_asymptotic(
             table[key] = _panel(kernel, levels, ts, total)
         return table[key]
 
-    return tuple(_assemble(kernel, level, mode, lambda ts, i=i: panel(ts)[i], None, spec)
+    return tuple(_assemble(kernel, level, mode, lambda ts, k=row.get(i): panel(ts)[k], None, spec)
                  for i, level in enumerate(u))
 
 

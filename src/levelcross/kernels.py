@@ -16,8 +16,15 @@ crossing statistics operate on.  Three model families are built in:
 
 Every kernel evaluates (r(t), r'(t), -r''(t)) in closed form -- no numeric
 differentiation -- and carries a one-sided Taylor expansion of r about
-t = 0 (to t^8) that downstream code uses for cancellation-safe short-lag
+t = 0 (to t^16) that downstream code uses for cancellation-safe short-lag
 evaluation of the crossing parameters.
+
+Each family's closed form is written once, in the operations of
+:mod:`levelcross._xp`, and serves ``Kernel.eval`` (one lag, Python floats)
+and ``Kernel.eval_array`` (a 1-D array of lags) alike; every element of an
+array evaluation has the bits of ``eval`` at that lag.  On arrays a branch
+(the deep overdamped split, the three forms of ``_cs_pair``) is picked by
+mask, and each branch sees only its own lags.
 """
 
 from __future__ import annotations
@@ -29,7 +36,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quadrature import QuadratureSpec, integrate_finite, pointwise
+from ._xp import _Arrays, _Floats
+from .quadrature import QuadratureSpec, integrate_finite
 
 __all__ = [
     "Kernel",
@@ -96,12 +104,22 @@ class Kernel(ABC):
     def eval(self, t: float) -> KernelDerivatives:
         """Closed-form (r, p, q) at lag t >= 0."""
         if t < 0.0:
-            raise KernelError(f"lag must be >= 0 (got {t}); use r(-t) = r(t) explicitly")
+            raise _negative_lag(t)
         r, p, q = self._rpq(float(t))
         return KernelDerivatives(r, p, q, float(t))
 
+    def eval_array(self, t) -> KernelDerivatives:
+        """(r, p, q) over a 1-D array of lags t >= 0, as arrays with the
+        bits of ``eval`` in every element."""
+        t = np.asarray(t, dtype=float)
+        if np.count_nonzero(t < 0.0):
+            raise _negative_lag(float(t[t < 0.0][0]))
+        r, p, q = self._rpq(t, _Arrays)
+        return KernelDerivatives(r, p, q, t)
+
     @abstractmethod
-    def _rpq(self, t: float) -> tuple[float, float, float]: ...
+    def _rpq(self, t, xp=_Floats) -> tuple:
+        """(r, p, q) at t: floats, or arrays with ``xp=_Arrays``."""
 
     @abstractmethod
     def _taylor_coefficients(self) -> np.ndarray:
@@ -124,18 +142,34 @@ class Kernel(ABC):
         return f"{type(self).__name__}({inner})"
 
 
-def _cs_pair(x: float) -> tuple[float, float]:
+def _negative_lag(t: float) -> KernelError:
+    return KernelError(f"lag must be >= 0 (got {t}); use r(-t) = r(t) explicitly")
+
+
+def _cs_pair(xp, x):
     """C(x) = cosh(sqrt(x)) and S(x) = sinh(sqrt(x))/sqrt(x), continued to x <= 0.
 
     For x < 0 these are cos(sqrt(-x)) and sin(sqrt(-x))/sqrt(-x); near 0 the
     even power series keeps the pair smooth through the sign change.
     """
-    if x > 0.01:
-        s = math.sqrt(x)
-        return math.cosh(s), math.sinh(s) / s
-    if x < -0.01:
-        s = math.sqrt(-x)
-        return math.cos(s), math.sin(s) / s
+    return xp.select(x > 0.01, _cosh_pair, _cs_near_zero, x)
+
+
+def _cosh_pair(xp, x):
+    s = xp.sqrt(x)
+    return xp.cosh(s), xp.sinh(s) / s
+
+
+def _cs_near_zero(xp, x):
+    return xp.select(x < -0.01, _cos_pair, _cs_series, x)
+
+
+def _cos_pair(xp, x):
+    s = xp.sqrt(-x)
+    return xp.cos(s), xp.sin(s) / s
+
+
+def _cs_series(xp, x):
     c = 1.0
     sv = 1.0
     term_c = 1.0
@@ -187,29 +221,39 @@ class SdhoKernel(Kernel):
         fast_root = max(1.0, z + math.sqrt(max(z * z - 1.0, 0.0)))
         return 1.0 / (self.omega0 * fast_root)
 
-    def _rpq(self, t: float) -> tuple[float, float, float]:
+    def _rpq(self, t, xp=_Floats):
         w = self.omega0
         z = self.zeta
-        amp = self.r0
         x = w * w * (z * z - 1.0) * t * t
-        if x > 400.0:
-            # Deep overdamped regime: cosh would overflow; use the explicit
-            # two-exponential split with strictly negative exponents.
-            s = math.sqrt(z * z - 1.0)
-            lam_slow = w * (z - s)
-            lam_fast = w * (z + s)
-            e_slow = math.exp(-lam_slow * t)
-            e_fast = math.exp(-lam_fast * t)
-            r = 0.5 * amp * ((1.0 + z / s) * e_slow + (1.0 - z / s) * e_fast)
-            p = -amp * w * w * t * (e_slow - e_fast) / (2.0 * math.sqrt(x))
-        else:
-            c, sv = _cs_pair(x)
-            decay = math.exp(-z * w * t)
-            r = amp * decay * (c + z * w * t * sv)
-            p = -amp * w * w * t * decay * sv
+        r, p = xp.select(x > 400.0, self._split, self._unified, t, x)
         # r solves r'' + 2 zeta w r' + w^2 r = 0 for t > 0.
         q = 2.0 * z * w * p + w * w * r
         return r, p, q
+
+    def _split(self, xp, t, x):
+        # Deep overdamped regime: cosh would overflow; use the explicit
+        # two-exponential split with strictly negative exponents.
+        w = self.omega0
+        z = self.zeta
+        amp = self.r0
+        s = math.sqrt(z * z - 1.0)
+        lam_slow = w * (z - s)
+        lam_fast = w * (z + s)
+        e_slow = xp.exp(-lam_slow * t)
+        e_fast = xp.exp(-lam_fast * t)
+        r = 0.5 * amp * ((1.0 + z / s) * e_slow + (1.0 - z / s) * e_fast)
+        p = -amp * w * w * t * (e_slow - e_fast) / (2.0 * xp.sqrt(x))
+        return r, p
+
+    def _unified(self, xp, t, x):
+        w = self.omega0
+        z = self.zeta
+        amp = self.r0
+        c, sv = _cs_pair(xp, x)
+        decay = xp.exp(-z * w * t)
+        r = amp * decay * (c + z * w * t * sv)
+        p = -amp * w * w * t * decay * sv
+        return r, p
 
     def _taylor_coefficients(self) -> np.ndarray:
         w = self.omega0
@@ -254,7 +298,7 @@ class OuMeanRevertKernel(Kernel):
         self.timescale = tau_e
         self.shape = {"kappa": self.kappa}
 
-    def _rpq(self, t: float) -> tuple[float, float, float]:
+    def _rpq(self, t, xp=_Floats):
         te = self.tau_e
         kappa = self.kappa
         big = self.r0
@@ -264,18 +308,18 @@ class OuMeanRevertKernel(Kernel):
             coef = self.sigma**2 * kappa / (1.0 - kappa * kappa)
             l1 = 1.0 / te
             l2 = 1.0 / self.tau_f
-            e1 = math.exp(-l1 * t)
-            e2 = math.exp(-l2 * t)
+            e1 = xp.exp(-l1 * t)
+            e2 = xp.exp(-l2 * t)
             r = coef * (e1 - kappa * e2)
             p = coef * (-l1 * e1 + kappa * l2 * e2)
             rpp = coef * (l1 * l1 * e1 - kappa * l2 * l2 * e2)
             return r, p, -rpp
         c = (1.0 - kappa) / (kappa * te)
-        decay = math.exp(-t / te)
+        decay = xp.exp(-t / te)
         ct = c * t
-        g_extra = (-math.expm1(-ct) / (c * te)) if c != 0.0 else t / te
+        g_extra = (-xp.expm1(-ct) / (c * te)) if c != 0.0 else t / te
         g = 1.0 + g_extra
-        gp = math.exp(-ct) / te
+        gp = xp.exp(-ct) / te
         gpp = -c * gp
         r = big * decay * g
         p = big * decay * (gp - g / te)
@@ -314,12 +358,12 @@ class RationalQuadraticKernel(Kernel):
         self.timescale = tau
         self.shape = {"alpha_shape": alpha_shape}
 
-    def _rpq(self, t: float) -> tuple[float, float, float]:
+    def _rpq(self, t, xp=_Floats):
         a = self.alpha_shape
         tau2 = self.tau * self.tau
         s2 = self.sigma * self.sigma
         base = 1.0 + t * t / (2.0 * a * tau2)
-        pw = base ** (-a)
+        pw = xp.pow(base, -a)
         r = s2 * pw
         # r' = -sigma^2 (t/tau^2) base^{-a-1}
         p = -s2 * (t / tau2) * pw / base
@@ -362,9 +406,9 @@ class SquaredExponentialKernel(Kernel):
         self.timescale = tau
         self.shape = {}
 
-    def _rpq(self, t: float) -> tuple[float, float, float]:
+    def _rpq(self, t, xp=_Floats):
         tau2 = self.tau * self.tau
-        r = self.r0 * math.exp(-0.5 * t * t / tau2)
+        r = self.r0 * xp.exp(-0.5 * t * t / tau2)
         p = -r * t / tau2
         rpp = r * (t * t / (tau2 * tau2) - 1.0 / tau2)
         return r, p, -rpp
@@ -434,7 +478,8 @@ class ValidityReport:
 
 
 def check_validity(kernel, grid: np.ndarray | None = None, eps: float | None = None) -> ValidityReport:
-    """Numeric validity gate for a kernel (or any duck-typed stand-in).
+    """Numeric validity gate for a kernel, or any stand-in with its attributes
+    and its ``eval`` and ``eval_array`` methods.
 
     Verifies the structural invariants (positive r0/q0, strict boundedness,
     decorrelation, vanishing derivative at the origin), the short-lag
@@ -454,7 +499,7 @@ def check_validity(kernel, grid: np.ndarray | None = None, eps: float | None = N
 
     checks["positive_moments"] = (r0 > 0.0 and q0 > 0.0, {"r0": r0, "q0": q0})
 
-    r_vals = np.array([kernel.eval(t).r for t in grid])
+    r_vals = kernel.eval_array(grid).r
     max_ratio = float(np.max(np.abs(r_vals)) / r0) if r0 > 0 else math.inf
     checks["bounded"] = (max_ratio < 1.0, {"max |r|/r0": max_ratio})
 
@@ -468,8 +513,11 @@ def check_validity(kernel, grid: np.ndarray | None = None, eps: float | None = N
     # Short-lag condition: (q0 - q(t))/t integrable on (0, eps].
     spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-10 * max(q0, 1.0))
     try:
-        geman = integrate_finite(pointwise(lambda t: (q0 - kernel.eval(t).q) / t), 0.0, eps, spec,
-                                 open_left=1e-7 * tau)
+        def geman_integrand(ts):
+            d = kernel.eval_array(ts)
+            return ((q0 - d.q) / d.t).tolist()
+
+        geman = integrate_finite(geman_integrand, 0.0, eps, spec, open_left=1e-7 * tau)
         checks["short_lag_integrable"] = (geman.converged, {"value": geman.value, "error": geman.error})
     except Exception as exc:  # noqa: BLE001 - report, never raise
         checks["short_lag_integrable"] = (False, {"exception": repr(exc)})

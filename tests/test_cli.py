@@ -56,6 +56,14 @@ class TestStats:
         assert doc["converged"] is True
         assert doc["var_rate"] > 0
 
+    def test_far_level_has_no_crossings(self, capsys):
+        # The mean rate underflows to 0: variance 0, no Fano factor, nothing integrated.
+        code, out, err = run(capsys, "stats", "--kernel", "sdho", "--u", "1e300", "--json")
+        assert (code, err) == (EXIT_OK, "")
+        doc = json.loads(out)
+        assert [doc[k] for k in ("mean_rate", "var_rate", "fano", "quad_error", "converged")] == [
+            0.0, 0.0, None, 0.0, True]
+
     def test_horizon_block(self, capsys):
         code, out, _ = run(capsys, "stats", "--kernel", "sdho", "--u", "0.5",
                            "--horizon", "50", "--json")
@@ -258,6 +266,17 @@ class TestSweep:
         changed = [i for i, (a, b) in enumerate(zip(clean_lines, faulty_lines)) if a != b]
         assert len(faulty_lines) == len(clean_lines) and len(changed) == 1
         assert faulty_lines[changed[0]] == "0.5,0.5,nan,nan,nan,false"
+
+    def test_far_levels_keep_converged_rows(self, capsys, tmp_path):
+        out = tmp_path / "sweep.json"
+        code, _, err = run(capsys, "sweep", "--kernel", "sdho", "--axis", "u:0:1e300:3",
+                           "--quantity", "var_rate,fano", "--out", str(out))
+        assert (code, err) == (EXIT_OK, "")
+        rows = json.loads(out.read_text())
+        assert rows[0]["var_rate"] > 0.0 and math.isfinite(rows[0]["fano"])
+        for row in rows[1:]:
+            assert (row["var_rate"], row["quad_error"], row["converged"]) == (0.0, 0.0, True)
+            assert math.isnan(row["fano"])
 
     def test_booleans_spelled_one_way(self, capsys, tmp_path):
         # Two rows whose kernel is invalid and one converged row, in one column.

@@ -29,6 +29,7 @@ from levelcross.crossings import (
 )
 from levelcross.kernels import (
     KernelDerivatives,
+    SquaredExponentialKernel,
     ValidityReport,
     make_ou_mean_revert,
     make_rational_quadratic,
@@ -220,6 +221,43 @@ class TestArrayPath:
         assert got == [[crossings._excess(kernel, u, lag, total) for lag in lags] for u in levels]
 
 
+class _Overshoot(SquaredExponentialKernel):
+    """r is 1.5 times the squared exponential's beyond t = 0.15, so
+    r0^2 - r^2 < 0 on (0.15, 0.9): lags that abg_params rejects, where the
+    validity gate (which checks the lags below 0.1) still passes."""
+
+    def _rpq(self, t, *xp):
+        r, p, q = super()._rpq(t, *xp)
+        return r * (1.0 + 0.5 * (t > 0.15)), p, q
+
+
+def _raised(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+class TestArrayPathErrors:
+    """A panel or row holding a lag that _lag rejects raises what _lag raises
+    at the first such lag in node order."""
+
+    @pytest.mark.parametrize("ts", [[2.0, 0.3, 0.2, 0.5], [0.0, 1e-3, 0.5], [1e-3, 2e-3, 0.0]])
+    def test_panel_raises_first_lag_error(self, ts):
+        kernel = _Overshoot(1.0, 1.0)
+        first = next(t for t in ts if t <= 0.0 or 0.15 < t < 0.9)
+        expected = _raised(lambda: crossings._lag(kernel, first))
+        assert expected[0] is crossings.DegenerateLagError
+        for total in (False, True):
+            assert _raised(lambda: crossings._panel(kernel, np.array([[0.0], [1.0]]), ts, total)) == expected
+
+    @pytest.mark.parametrize("mode", ["up", "total"])
+    def test_row_raises_single_level_error(self, mode):
+        kernel = _Overshoot(1.0, 1.0)
+        expected = _raised(lambda: variance_rate_asymptotic(kernel, 0.5, mode))
+        assert expected[0] is crossings.DegenerateLagError
+        assert _raised(lambda: variance_rate_asymptotic(kernel, [0.5, 1.0, 0.0], mode)) == expected
+
+
 class TestPerKernelWork:
     def test_gate_runs_once_per_kernel(self, monkeypatch):
         calls = []
@@ -277,12 +315,13 @@ class TestLevelRow:
         assert repr(variance_rate_asymptotic(kernel, [0.5], mode)) == repr((row[1],))
 
     def test_row_evaluates_kernel_once_per_lag(self, monkeypatch):
+        # The row evaluates its lags through eval_array, a panel at a time.
         kernel = make_sdho(1.0, 0.7, 1.0)
         crossings._gate(kernel)
         calls = []
-        original = type(kernel).eval
-        monkeypatch.setattr(type(kernel), "eval",
-                            lambda self, t: calls.append(t) or original(self, t))
+        original = type(kernel).eval_array
+        monkeypatch.setattr(type(kernel), "eval_array",
+                            lambda self, t: calls.extend(t.tolist()) or original(self, t))
         variance_rate_asymptotic(kernel, [0.25 * k for k in range(9)], "up")
         assert calls and len(calls) == len(set(calls))
 
@@ -378,6 +417,29 @@ class TestVariance:
             variance_count(SDHO, 0.5, 0.0)
         with pytest.raises(ValueError):
             mean_count(SDHO, 0.5, -1.0)
+
+
+class TestFarLevel:
+    """A level so far out that the mean rate underflows to 0 has variance 0,
+    quad_error 0 and no Fano factor, on every path, without integrating."""
+
+    KERNEL = make_sdho(1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("u", [40.0, 1e54, 1e300])
+    def test_single_level_and_window(self, u):
+        for stats in (variance_rate_asymptotic(self.KERNEL, u, "up"),
+                      variance_count(self.KERNEL, -u, 5.0, "total")):
+            assert (stats.mean, stats.variance, stats.quad_error, stats.quad_converged,
+                    stats.fano, stats.evaluations) == (0.0, 0.0, 0.0, True, None, 0)
+        assert fano(self.KERNEL, u) is None
+
+    @pytest.mark.parametrize("mode", ["up", "total"])
+    def test_sweep_row(self, mode):
+        levels = [0.5, 1e300, 40.0, 1.5]
+        row = variance_rate_asymptotic(self.KERNEL, levels, mode)
+        assert [repr(st) for st in row] == [
+            repr(variance_rate_asymptotic(self.KERNEL, u, mode)) for u in levels]
+        assert [st.evaluations == 0 for st in row] == [False, True, True, False]
 
 
 class TestFano:

@@ -160,6 +160,43 @@ class TestValidation:
         assert not report.passed("weighted_tail_integrable")
 
 
+class TestArrayEvaluation:
+    """eval_array equals eval bit for bit, in every branch of every family."""
+
+    LAGS = np.concatenate([[0.0], np.geomspace(1e-7, 1e3, 400), np.linspace(0.01, 40.0, 257)])
+
+    @pytest.mark.parametrize("kernel", [
+        make_sdho(1.0, 0.3, 1.0), make_sdho(1.0, 1.0, 1.0), make_sdho(1.3, 3.0, 0.7),
+        make_ou_mean_revert(1.0, 1.0 + 5e-4, 1.0), make_ou_mean_revert(1.0, 1.0 - 5e-4, 1.0),
+        make_ou_mean_revert(1.2, 0.05, 1.0), make_rational_quadratic(1.0, 1.0, 0.75),
+        make_squared_exponential(1.0, 1.0),
+    ], ids=repr)
+    def test_matches_eval_bit_for_bit(self, kernel):
+        got = kernel.eval_array(self.LAGS)
+        want = np.array([kernel.eval(t) for t in self.LAGS.tolist()]).T
+        assert np.array(got).tobytes() == want.tobytes()
+
+    def test_lags_reach_every_branch(self):
+        for kernel, branches in ((make_sdho(1.0, 0.3, 1.0), ("x < -0.01", "|x| <= 0.01")),
+                                 (make_sdho(1.0, 1.0, 1.0), ("|x| <= 0.01",)),
+                                 (make_sdho(1.3, 3.0, 0.7), ("x > 400", "0.01 < x <= 400", "|x| <= 0.01"))):
+            # x = w^2 (zeta^2 - 1) t^2 picks the sdho branch.
+            x = kernel.omega0**2 * (kernel.zeta**2 - 1.0) * self.LAGS**2
+            reached = {"x < -0.01": x < -0.01, "|x| <= 0.01": abs(x) <= 0.01,
+                       "0.01 < x <= 400": (0.01 < x) & (x <= 400.0), "x > 400": x > 400.0}
+            assert {name for name, mask in reached.items() if mask.any()} == set(branches)
+        assert [abs(1.0 - k.kappa) <= 1e-3 for k in (make_ou_mean_revert(1.0, 1.0 + 5e-4, 1.0),
+                                                    make_ou_mean_revert(1.2, 0.05, 1.0))] == [True, False]
+
+    def test_negative_lag_raises(self):
+        kernel = make_squared_exponential(1.0, 1.0)
+        with pytest.raises(KernelError) as array_error:
+            kernel.eval_array([0.5, -0.1, -0.2])
+        with pytest.raises(KernelError) as float_error:
+            kernel.eval(-0.1)
+        assert str(array_error.value) == str(float_error.value)
+
+
 class TestMetadata:
     def test_timescales_positive(self):
         for k in ALL_KERNELS:
