@@ -37,9 +37,11 @@ Where each piece comes from:
   one ``Kernel.eval_array`` call for the direct lags, one ``_horner`` pass
   over the four short-lag series polynomials, and ``_lag_params``'
   arithmetic (``_lag_fields``) and checks on arrays;
-* ``_assemble`` is the only variance-assembly path (validity gate,
-  breakpoints, mean + 2 int I, clamping) behind ``variance_count``,
-  ``variance_rate_asymptotic``, ``fano`` and ``zero_level_stats``;
+* ``_lag_integral`` fixes the integration policy of every statistic (open
+  left end, breakpoints, tail map), and ``_assemble`` is the only
+  variance-assembly path (validity gate, mean + 2 int I, clamping) behind
+  ``variance_count``, ``variance_rate_asymptotic``, ``fano`` and
+  ``zero_level_stats``, one level and sweep rows alike;
 * the quadrature is :mod:`levelcross.quadrature`, the validity gate
   :func:`levelcross.kernels.check_validity`.
 
@@ -64,14 +66,18 @@ The validity gate's outcome and the short-lag series tables are cached on
 the kernel, so each is computed once per kernel.  ``variance_rate_asymptotic``
 also takes a sequence of levels (one sweep row).  Each level keeps its own
 adaptive mesh, so every result equals its single-level call bit for bit, but
-the quadrature asks for a whole panel of lags at a time (see
-:mod:`levelcross.quadrature`), and the first level to ask for a panel gets
-every level's values there at once (``_panel``): the level-free work as
-arrays over the panel's lags (``_lags``), then one array expression per
-regime.  The other levels read them from a table keyed by the panel's lags;
-it lives for that one call and is never stored on the kernel.  Only a call
-with more than one level takes the array path; a single level keeps the
-float path (``_lag``), the reference the array path is tested against.
+the levels are integrated in lockstep
+(:func:`levelcross.quadrature.integrate_semi_infinite_rows`): each round,
+one ``_panel`` call gives every level's values at the lags of every panel
+that some level asks for and no earlier round gave, the level-free work as
+arrays over those lags (``_lags``), then one array expression per regime.
+Round 0 also evaluates the open-left stub panels that every level asks for
+one at a time later, so a 9-level row takes a handful of ``_panel`` calls.
+The table of panels lives for that one call and is never stored on the
+kernel.  Only a call with more than one level takes the array path; a
+single level keeps the float path (``_lag``), the reference the array path
+is tested against, and calls its integrand once for each panel it asks for,
+nothing more.
 """
 
 from __future__ import annotations
@@ -87,7 +93,7 @@ import numpy as np
 from . import _xp
 from .kernels import Kernel, KernelDerivatives, check_validity
 from .quadrature import (QuadratureResult, QuadratureSpec, integrate_finite,
-                         integrate_semi_infinite, pointwise)
+                         integrate_semi_infinite, integrate_semi_infinite_rows, pointwise)
 from .special import erf, owens_t
 
 __all__ = [
@@ -472,15 +478,14 @@ def _excess(kernel: Kernel, u, lag, total: bool, xp=_Floats):
     return pref * _bracket(alpha, beta, sqrt2_p * u / rp, total, xp) - product
 
 
-def _panel(kernel: Kernel, levels: np.ndarray, ts, total: bool) -> list[list[float]]:
-    """Every level's excess at every lag of one quadrature panel, as one list
-    of floats per level: the level-free work as arrays over the panel's lags
-    (``_lags``), then one array expression per regime (weak-correlation lags
-    and the rest)."""
+def _panel(kernel: Kernel, levels: np.ndarray, ts, total: bool) -> np.ndarray:
+    """Every level's excess at every lag ts, as a (levels, lags) array: the
+    level-free work as arrays over the lags (``_lags``), then one array
+    expression per regime (weak-correlation lags and the rest)."""
     values = np.empty((len(levels), len(ts)))
-    for cols, lag in _lags(kernel, np.array(ts, dtype=float)):
+    for cols, lag in _lags(kernel, np.asarray(ts, dtype=float)):
         values[:, cols] = _excess(kernel, levels, lag, total, _Arrays)
-    return values.tolist()
+    return values
 
 
 def integrand_up(kernel: Kernel, u: float, t: float) -> float:
@@ -550,38 +555,42 @@ def _gate(kernel: Kernel) -> tuple[str, ...]:
     return cached
 
 
-def _assemble(
-    kernel: Kernel,
-    u: float,
-    mode: CrossingMode,
-    f,
-    T: float | None,
-    spec: QuadratureSpec | None,
-) -> CrossingStats:
-    """The one variance-assembly path: mean + 2 int_0^inf f, or for a window
-    of length T, mean + 2T int_0^T (1-t/T) f, with breakpoints at multiples
-    of tau_slow.  ``spec`` holds the caller's tolerances only.  A negative
-    result within 10x the quadrature error is clamped to 0 with a warning;
-    beyond that it is a bug signal and raises.  A level so far out that the
-    mean underflows to 0 has variance 0, and f is never called there.
+def _lag_integral(kernel: Kernel, f, T: float | None, spec: QuadratureSpec | None,
+                  rows: int | None = None):
+    """int_0^inf f, or int_0^T (1-t/T) f, with breakpoints at multiples of
+    tau_slow: the integration policy of every statistic.  f is 0/0 at lag 0,
+    so the left end stays open, and one tail map on tau_slow serves every
+    family.  With ``rows``, f is that many long-time integrands at once and
+    the result one ``QuadratureResult`` per row."""
+    tau = kernel.tau_slow
+    open_left = 1e-7 * tau
+    if rows is not None:
+        return integrate_semi_infinite_rows(f, rows, 0.0, spec, scale=tau, open_left=open_left)
+    if T is None:
+        return integrate_semi_infinite(f, 0.0, spec, scale=tau, open_left=open_left)
+    breaks = [m * tau for m in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)]
+    return integrate_finite(lambda ts: [(1.0 - t / T) * v for t, v in zip(ts, f(ts))],
+                            0.0, T, spec, open_left=open_left, breakpoints=breaks)
+
+
+def _assemble(kernel: Kernel, u: float, mode: CrossingMode, T: float | None,
+              integral) -> CrossingStats:
+    """The one variance-assembly path: mean + 2 int_0^inf I, or for a window
+    of length T, mean + 2T int_0^T (1-t/T) I, from ``integral()``, the
+    ``QuadratureResult`` of that integral (``_lag_integral``).  The validity
+    gate runs first.  A negative result within 10x the quadrature error is
+    clamped to 0 with a warning; beyond that it is a bug signal and raises.
+    A level so far out that the mean underflows to 0 has variance 0, and
+    ``integral`` is never called there.
     """
     mean = mean_rate(kernel, u, mode) if T is None else mean_count(kernel, u, T, mode)
     warnings = _gate(kernel)
-    tau = kernel.tau_slow
-    # The integration policy of every statistic: f is 0/0 at lag 0, so the
-    # left end stays open, and one tail map on tau_slow serves every family.
-    open_left = 1e-7 * tau
     if mean == 0.0:
         result = QuadratureResult(0.0, 0.0, 0, True)
         scale = 0.0
-    elif T is None:
-        result = integrate_semi_infinite(f, 0.0, spec, scale=tau, open_left=open_left)
-        scale = 2.0
     else:
-        breaks = [m * tau for m in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)]
-        result = integrate_finite(lambda ts: [(1.0 - t / T) * v for t, v in zip(ts, f(ts))],
-                                  0.0, T, spec, open_left=open_left, breakpoints=breaks)
-        scale = 2.0 * T
+        result = integral()
+        scale = 2.0 if T is None else 2.0 * T
     # Plain float/bool fields: the series path's Horner sums are numpy scalars.
     raw = float(mean + scale * result.value)
     quad_error = float(scale * result.error)
@@ -610,7 +619,8 @@ def variance_count(
 ) -> CrossingStats:
     """Finite-horizon crossing-count variance: mean + 2T int_0^T (1-t/T) I dt."""
     mode = _mode(mode)
-    return _assemble(kernel, u, mode, _pick_integrand(kernel, u, mode), T, spec)
+    f = _pick_integrand(kernel, u, mode)
+    return _assemble(kernel, u, mode, T, lambda: _lag_integral(kernel, f, T, spec))
 
 
 def variance_rate_asymptotic(
@@ -620,31 +630,39 @@ def variance_rate_asymptotic(
 
     ``u`` may also be a sequence of levels; the result is then a tuple with
     one ``CrossingStats`` per level, each equal to its single-level call.
-    Each level keeps its own adaptive mesh.  With more than one level, the
-    first level to ask for a quadrature panel computes every level's values
-    there at once (``_panel``), and the others read them from a table that
-    lives for this call only.  If a lag fails a check, the call raises what
-    the single-level call of the first level to fail raises.
+    With more than one level, the levels are integrated in lockstep
+    (``_row``).  If that raises anything, the levels are computed one by one
+    in order, so the call raises what the single-level call of the first
+    level to fail raises.
     """
     mode = _mode(mode)
     if np.ndim(u) == 0:
-        return _assemble(kernel, u, mode, _pick_integrand(kernel, u, mode), None, spec)
-    if len(u) == 1:  # one level: the float path
-        return (variance_rate_asymptotic(kernel, u[0], mode, spec),)
+        f = _pick_integrand(kernel, u, mode)
+        return _assemble(kernel, u, mode, None, lambda: _lag_integral(kernel, f, None, spec))
+    if len(u) > 1:  # one level keeps the float path
+        try:
+            return _row(kernel, u, mode, spec)
+        except Exception:
+            # Whatever failed, the single-level calls below raise it again
+            # for the first level it concerns; round 0 may have evaluated a
+            # lag that no level asks for, and then they succeed.
+            pass
+    return tuple(variance_rate_asymptotic(kernel, level, mode, spec) for level in u)
+
+
+def _row(kernel: Kernel, u, mode: CrossingMode, spec: QuadratureSpec | None) -> tuple:
+    """A row of levels integrated in lockstep, each on its own adaptive
+    mesh: every round, one ``_panel`` call evaluates every live level at the
+    lags of every panel that any level asks for and no earlier round gave
+    (see ``integrate_semi_infinite_rows``)."""
+    _gate(kernel)  # before any integration, as on the single-level path
     total = mode is CrossingMode.TOTAL
     # The levels whose mean underflows never integrate (see _assemble).
     live = [i for i, level in enumerate(u) if mean_rate(kernel, level, mode) != 0.0]
     levels = np.array([u[i] for i in live], dtype=float)[:, None]
-    row = dict(zip(live, range(len(live))))  # a level's row in the panel values
-    table = {}  # a panel's lags -> every live level's values there
-
-    def panel(ts):
-        key = tuple(ts)
-        if key not in table:
-            table[key] = _panel(kernel, levels, ts, total)
-        return table[key]
-
-    return tuple(_assemble(kernel, level, mode, lambda ts, k=row.get(i): panel(ts)[k], None, spec)
+    results = dict(zip(live, _lag_integral(
+        kernel, lambda ts: _panel(kernel, levels, ts, total), None, spec, rows=len(live))))
+    return tuple(_assemble(kernel, level, mode, None, lambda i=i: results[i])
                  for i, level in enumerate(u))
 
 
@@ -669,8 +687,8 @@ def zero_level_stats(
     T=None computes the asymptotic rates, otherwise the finite-T variance.
     """
     mode = _mode(mode)
-    zero = functools.partial(_integrand_zero, kernel, total=mode is CrossingMode.TOTAL)
-    return _assemble(kernel, 0.0, mode, pointwise(zero), T, spec)
+    zero = pointwise(functools.partial(_integrand_zero, kernel, total=mode is CrossingMode.TOTAL))
+    return _assemble(kernel, 0.0, mode, T, lambda: _lag_integral(kernel, zero, T, spec))
 
 
 def _unit_kernel(family: str, shape: dict) -> Kernel:

@@ -20,26 +20,42 @@ Adaptive one-dimensional integration tailored to the crossing integrands:
 ``QuadratureSpec`` holds only the tolerances and the subdivision cap.  The
 caller passes the policies as arguments: the open-left offset, the
 breakpoints and the timescale.  The statistics fix theirs in one place
-(``crossings._assemble``).
+(``crossings._lag_integral``).
 
 Everything is deterministic: fixed node sets, worst-interval-first
 bisection, no randomness.
 
-Integrands are evaluated a panel at a time: the integrator calls
-``f(nodes)`` with a list of abscissae (the 15 nodes of one Gauss-Kronrod
-panel, or the single open-left edge point) and takes a sequence of as many
-values back, so an integrand can share work across a panel's nodes.  The
-values are summed in a fixed order; the first non-finite one, in node
-order, raises ``IntegrationError``.  A function of one abscissa joins
-through ``pointwise``.
+The integrator is written once, as a generator (``_quadrature``): it yields
+the panels it needs (the breakpoint segments, the two halves of a bisected
+panel, each open-left stub panel, the stub's edge point) and is sent back
+their (Kronrod value, error estimate) pairs.  ``integrate_finite`` and
+``integrate_semi_infinite`` drive it with one integrand: they call
+``f(nodes)`` once per panel, in order, with a list of abscissae (the 15
+nodes of one Gauss-Kronrod panel, or the single edge point) and take a
+sequence of as many values back, so an integrand can share work across a
+panel's nodes.  The values are summed in a fixed order (``_weigh``); the
+first non-finite one, in node order, raises ``IntegrationError``.  A
+function of one abscissa joins through ``pointwise``.
+
+``integrate_semi_infinite_rows`` drives one generator per integrand of a
+family (the levels of a sweep row) in lockstep rounds.  Each round, one f
+call gives every row's values at the nodes of every panel that some row asks
+for and no earlier round gave, and ``_weigh`` forms every row's sums at once
+as arrays, with the bits of the single-row sums.  Round 0 also fills the
+table with the stub panels that every row asks for one at a time later, so
+a row of nine levels takes a handful of f calls instead of one per panel.
+Each row keeps its own mesh and gets the result of integrating it alone.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
+
+import numpy as np
 
 __all__ = [
     "QuadratureSpec",
@@ -47,6 +63,7 @@ __all__ = [
     "IntegrationError",
     "integrate_finite",
     "integrate_semi_infinite",
+    "integrate_semi_infinite_rows",
     "pointwise",
 ]
 
@@ -108,18 +125,26 @@ def pointwise(f: Callable[[float], float]) -> Callable[[Sequence[float]], list[f
     return lambda nodes: [f(t) for t in nodes]
 
 
-def _gk15(f: Callable[[list[float]], Sequence[float]], a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod 15-point panel: returns (kronrod value, error estimate)."""
+def _nodes(a: float, b: float) -> list[float]:
+    """The 15 Gauss-Kronrod nodes of the panel [a, b], center first, then
+    the pairs in ``_XGK`` order; a == b asks for the single point a."""
+    if a == b:
+        return [a]
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
     nodes = [center]
     for x in _XGK[:7]:
         dx = half * x
         nodes += (center - dx, center + dx)
-    values = f(nodes)
-    if not all(map(math.isfinite, values)):
-        t = next(t for t, v in zip(nodes, values) if not math.isfinite(v))
-        raise IntegrationError(f"non-finite integrand value at t={t!r}", t)
+    return nodes
+
+
+def _weigh(values, half):
+    """(Kronrod value, error estimate) of a panel of half-width ``half`` from
+    its 15 values in node order.  The values are floats, or arrays (one
+    element per integrand or per panel) with ``half`` a float or an array
+    that broadcasts with them; either way every element gets the same bits,
+    because the sum runs in the same order."""
     pairs = iter(values)
     fc = next(pairs)
     kron = _WGK[7] * fc
@@ -133,28 +158,76 @@ def _gk15(f: Callable[[list[float]], Sequence[float]], a: float, b: float) -> tu
     return kron, abs(kron - gauss)
 
 
+def _gk15(f: Callable[[list[float]], Sequence[float]], a: float, b: float) -> tuple[float, float]:
+    """One Gauss-Kronrod 15-point panel: returns (kronrod value, error
+    estimate); for a == b, the value of f at a and 0."""
+    nodes = _nodes(a, b)
+    values = f(nodes)
+    if not all(map(math.isfinite, values)):
+        t = next(t for t, v in zip(nodes, values) if not math.isfinite(v))
+        raise IntegrationError(f"non-finite integrand value at t={t!r}", t)
+    if a == b:
+        return values[0], 0.0
+    return _weigh(values, 0.5 * (b - a))
+
+
 def _tolerance(spec: QuadratureSpec, value: float) -> float:
     return max(spec.abs_tol, spec.rel_tol * abs(value))
 
 
-def _adaptive(f, segments: Sequence[tuple[float, float]], spec: QuadratureSpec) -> QuadratureResult:
-    """Worst-first bisection over an initial list of segments."""
+def _split_segments(lo: float, hi: float, breakpoints) -> list[tuple[float, float]]:
+    edges = [lo, *sorted(p for p in breakpoints if lo < p < hi), hi]
+    return list(zip(edges, edges[1:]))
+
+
+def _stub_edge(lo: float, hi: float, open_left: float) -> float:
+    """Where the adaptive pass of an open-left integral starts."""
+    return lo + min(open_left, 1e-3 * (hi - lo))
+
+
+def _halvings(lo: float, right: float):
+    """The open-left stub's panels, each half as far from lo as the last."""
+    while (left := lo + 0.5 * (right - lo)) < right:
+        yield left, right
+        right = left
+
+
+def _quadrature(lo: float, hi: float, spec: QuadratureSpec, breakpoints=(),
+                open_left: float | None = None):
+    """The integrator, as a generator.  It yields lists of panels (a, b) and
+    is sent back each panel's (Kronrod value, error estimate), in order; a
+    panel a == b asks for the integrand's value at a.  It returns the
+    ``QuadratureResult``.
+
+    Worst-first bisection over the segments that ``breakpoints`` cut [lo, hi]
+    into.  With an ``open_left`` offset > 0 that pass runs on
+    [lo + offset, hi] at half the tolerance; then geometric panels shrink
+    toward lo, and the final unresolved stub is bounded by its width times
+    |f| at its right edge and folded into the error estimate, so f is never
+    evaluated at lo.
+    """
+    main_spec = spec
+    right = lo
+    if open_left is not None:
+        right = _stub_edge(lo, hi, open_left)
+        # Half the tolerance, so the endpoint panels and the stub bound
+        # cannot push the total over budget.
+        main_spec = replace(spec, rel_tol=0.5 * spec.rel_tol, abs_tol=0.5 * spec.abs_tol)
+    segments = _split_segments(right, hi, breakpoints)
     heap: list[tuple[float, int, float, float, float, float]] = []
     value = 0.0
     error = 0.0
-    evals = 0
     tie = 0  # tie-breaker keeps heap ordering deterministic
-    for (a, b) in segments:
-        v, e = _gk15(f, a, b)
-        evals += 15
+    for (a, b), (v, e) in zip(segments, (yield segments)):
         value += v
         error += e
         heapq.heappush(heap, (-e, tie, a, b, v, e))
         tie += 1
+    evals = 15 * len(segments)
     subdivisions = len(segments)
     exhausted = False
     while True:
-        while error > _tolerance(spec, value) and subdivisions < spec.max_subdivisions:
+        while error > _tolerance(main_spec, value) and subdivisions < main_spec.max_subdivisions:
             neg_e, _, a, b, v, e = heapq.heappop(heap)
             mid = 0.5 * (a + b)
             if mid <= a or mid >= b:  # interval at floating-point resolution
@@ -164,8 +237,7 @@ def _adaptive(f, segments: Sequence[tuple[float, float]], spec: QuadratureSpec) 
                     exhausted = True
                     break
                 continue
-            v1, e1 = _gk15(f, a, mid)
-            v2, e2 = _gk15(f, mid, b)
+            (v1, e1), (v2, e2) = yield [(a, mid), (mid, b)]
             evals += 30
             value += v1 + v2 - v
             error += e1 + e2 - e
@@ -179,14 +251,31 @@ def _adaptive(f, segments: Sequence[tuple[float, float]], spec: QuadratureSpec) 
         # misses the tolerance, keep refining with the corrected figures.
         value = math.fsum(item[4] for item in heap)
         error = math.fsum(item[5] for item in heap)
-        if (error <= _tolerance(spec, value) or exhausted
-                or subdivisions >= spec.max_subdivisions):
-            return QuadratureResult(value, error, evals, error <= _tolerance(spec, value))
+        if (error <= _tolerance(main_spec, value) or exhausted
+                or subdivisions >= main_spec.max_subdivisions):
+            break
+    if open_left is not None:
+        for panel in itertools.islice(_halvings(lo, right), 60):
+            [(v, e)] = yield [panel]
+            evals += 15
+            value += v
+            error += e
+            right = panel[0]
+            if abs(v) + e < 0.05 * _tolerance(spec, value):
+                break
+        [(f_edge, _)] = yield [(right, right)]
+        error += (right - lo) * abs(f_edge)
+    return QuadratureResult(value, error, evals, error <= _tolerance(spec, value))
 
 
-def _split_segments(lo: float, hi: float, breakpoints) -> list[tuple[float, float]]:
-    edges = [lo, *sorted(p for p in breakpoints if lo < p < hi), hi]
-    return list(zip(edges, edges[1:]))
+def _drive(f: Callable[[list[float]], Sequence[float]], quadrature) -> QuadratureResult:
+    """Run one ``_quadrature`` generator on f, one f call per panel, in order."""
+    request = next(quadrature)
+    while True:
+        try:
+            request = quadrature.send([_gk15(f, a, b) for a, b in request])
+        except StopIteration as done:
+            return done.value
 
 
 def integrate_finite(
@@ -196,41 +285,18 @@ def integrate_finite(
     """Integrate f on [lo, hi], seeding the segments at the interior
     ``breakpoints``.  With an ``open_left`` offset > 0 it integrates on
     (lo, hi] and never evaluates f at lo."""
-    spec = spec or QuadratureSpec()
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if open_left is None:
-        return _adaptive(f, _split_segments(lo, hi, breakpoints), spec)
+    return _drive(f, _quadrature(lo, hi, spec or QuadratureSpec(), breakpoints, open_left))
 
-    # Open-left: adaptive pass on [lo+offset, hi], then geometric panels
-    # shrinking toward lo; the final unresolved stub is bounded by
-    # width * |f| at its right edge and folded into the error estimate.
-    offset = min(open_left, 1e-3 * (hi - lo))
-    # The main pass targets half the tolerance so the endpoint-panel and
-    # stub-bound additions below cannot push the total over budget.
-    main_spec = replace(spec, rel_tol=0.5 * spec.rel_tol, abs_tol=0.5 * spec.abs_tol)
-    main = _adaptive(f, _split_segments(lo + offset, hi, breakpoints), main_spec)
-    value = main.value
-    error = main.error
-    evals = main.evaluations
-    right = lo + offset
-    for _ in range(60):
-        left = lo + 0.5 * (right - lo)
-        if left >= right:
-            break
-        v, e = _gk15(f, left, right)
-        evals += 15
-        value += v
-        error += e
-        right = left
-        if abs(v) + e < 0.05 * _tolerance(spec, value):
-            break
-    f_edge = f([right])[0]
-    if not math.isfinite(f_edge):
-        raise IntegrationError(f"non-finite integrand value at t={right!r}", right)
-    error += (right - lo) * abs(f_edge)
-    converged = error <= _tolerance(spec, value)
-    return QuadratureResult(value, error, evals, converged)
+
+# The segments of the tail map start at t = lo + m scale, m in {0.5, 2, 8, 32}.
+_TAIL_BREAKS = tuple(m / (m + 4.0) for m in (0.5, 2.0, 8.0, 32.0))
+
+
+def _x_open(length: float, open_left: float | None) -> float | None:
+    """The open-left offset of the tail map in x units: x_off = off/(L + off)."""
+    return None if open_left is None else open_left / (length + open_left)
 
 
 def integrate_semi_infinite(
@@ -244,7 +310,6 @@ def integrate_semi_infinite(
     segments are seeded at t = lo + m scale, m in {0.5, 2, 8, 32}.
     ``open_left`` is an offset in t, as for ``integrate_finite``.
     """
-    spec = spec or QuadratureSpec()
     length = 4.0 * scale
 
     def g(xs: list[float]) -> list[float]:
@@ -253,8 +318,83 @@ def integrate_semi_infinite(
         values = iter(f([lo + length * x / m for x, m in zip(xs, one_minus) if m > 0.0]))
         return [next(values) * length / (m * m) if m > 0.0 else 0.0 for m in one_minus]
 
-    # The open-left offset in x units: x_off = off/(L + off).
-    return integrate_finite(
-        g, 0.0, 1.0, spec, breakpoints=[m / (m + 4.0) for m in (0.5, 2.0, 8.0, 32.0)],
-        open_left=None if open_left is None else open_left / (length + open_left),
-    )
+    return _drive(g, _quadrature(0.0, 1.0, spec or QuadratureSpec(), _TAIL_BREAKS,
+                                 _x_open(length, open_left)))
+
+
+# A row's first round also evaluates this many halvings of the open-left stub,
+# and their edge points: every row asks for the same ones, one at a time.
+_ROUND0_STUB = 14
+
+
+def integrate_semi_infinite_rows(
+    f: Callable[[np.ndarray], np.ndarray], rows: int, lo: float,
+    spec: QuadratureSpec | None = None, *, scale: float = 1.0, open_left: float | None = None,
+) -> list[QuadratureResult]:
+    """``integrate_semi_infinite`` of ``rows`` integrands at once: f takes an
+    array of abscissae and returns a (rows, abscissae) array.
+
+    Each row keeps its own adaptive mesh, and its result equals
+    ``integrate_semi_infinite`` on that row alone bit for bit.  The rows run
+    their ``_quadrature`` generators in lockstep: each round collects every
+    row's request and evaluates every panel not yet in a table with one f
+    call, mapping x to t and the Jacobian once per node and forming every
+    row's sums as arrays (``_weigh``).  The first round also evaluates the
+    panels that every row asks for one at a time later: the first
+    ``_ROUND0_STUB`` halvings of the open-left stub and their edge points.
+    A non-finite value anywhere in a round raises ``IntegrationError``, even
+    where no row would have asked for it.
+    """
+    length = 4.0 * scale
+    x_off = _x_open(length, open_left)
+    spec = spec or QuadratureSpec()
+    quadratures = [_quadrature(0.0, 1.0, spec, _TAIL_BREAKS, x_off) for _ in range(rows)]
+    requests = [next(q) for q in quadratures]
+    extra = []
+    if rows and x_off is not None:
+        extra = list(itertools.islice(_halvings(0.0, _stub_edge(0.0, 1.0, x_off)), _ROUND0_STUB))
+        extra += [(a, a) for a, _ in extra]
+    table: dict[tuple[float, float], list[tuple[float, float]]] = {}  # panel -> each row's pair
+    results: list[QuadratureResult | None] = [None] * rows
+    live = list(range(rows))
+    while live:
+        wanted = itertools.chain(extra, *(requests[k] for k in live))
+        new = [panel for panel in dict.fromkeys(wanted) if panel not in table]
+        if new:
+            table.update(_row_panels(f, rows, new, lo, length))
+        extra = []
+        running = []
+        for k in live:
+            try:
+                requests[k] = quadratures[k].send([table[panel][k] for panel in requests[k]])
+            except StopIteration as done:
+                results[k] = done.value
+            else:
+                running.append(k)
+        live = running
+    return results
+
+
+def _row_panels(f, rows: int, panels: list[tuple[float, float]], lo: float, length: float):
+    """(panel, [(Kronrod value, error estimate) of each row]) for every
+    panel, from one f call on the tail map's lags."""
+    panels = sorted(panels, key=lambda panel: panel[0] == panel[1])  # the points last
+    xs = np.array([x for a, b in panels for x in _nodes(a, b)])
+    one_minus = 1.0 - xs
+    inside = one_minus > 0.0  # an x rounded to 1.0 maps to no lag
+    lags = lo + length * xs[inside] / one_minus[inside]
+    values = np.zeros((rows, len(xs)))
+    if lags.size:
+        values[:, inside] = f(lags) * length / (one_minus[inside] * one_minus[inside])
+    finite = np.isfinite(values).all(axis=0)
+    if not finite.all():
+        x = float(xs[~finite][0])
+        raise IntegrationError(f"non-finite integrand value at t={x!r}", x)
+    n = sum(a < b for a, b in panels)
+    halves = np.array([0.5 * (b - a) for a, b in panels[:n]])
+    # The panels' values in node order, each over (rows, panels).
+    kron, error = _weigh(values[:, :15 * n].reshape(rows, n, 15).transpose(2, 0, 1), halves)
+    points = values[:, 15 * n:]
+    pairs = [*zip(kron.T.tolist(), error.T.tolist()),
+             *zip(points.T.tolist(), np.zeros_like(points).T.tolist())]
+    return zip(panels, (list(zip(k, e)) for k, e in pairs))

@@ -37,6 +37,7 @@ from levelcross.kernels import (
     make_squared_exponential,
 )
 from levelcross.montecarlo import bruteforce_integrand_total, bruteforce_integrand_up
+from levelcross.quadrature import IntegrationError
 
 SDHO = make_sdho(1.0, 1.0, 1.0)
 SE = make_squared_exponential(1.0, 1.0)
@@ -217,7 +218,7 @@ class TestArrayPath:
         assert {type(lag) for lag in lags} == {tuple, KernelDerivatives}  # both regimes
         assert ts[0] < 0.1 * kernel.series_scale < ts[-1]  # series lags too
         levels = [-2.0, 0.0, 0.3, 1.7]
-        got = crossings._panel(kernel, np.array(levels)[:, None], ts, total)
+        got = crossings._panel(kernel, np.array(levels)[:, None], ts, total).tolist()
         assert got == [[crossings._excess(kernel, u, lag, total) for lag in lags] for u in levels]
 
 
@@ -332,6 +333,81 @@ class TestLevelRow:
         variance_rate_asymptotic(kernel, [0.25 * k for k in range(9)], "up")
         assert vars(kernel).keys() == before.keys()
         assert all(vars(kernel)[key] is value for key, value in before.items())
+
+
+class TestRowDriver:
+    """A row's levels are integrated in lockstep: a few _panel calls per row,
+    and what a failing lag raises is the single-level call's error."""
+
+    LEVELS = [0.25 * k for k in range(9)]
+
+    @pytest.mark.parametrize("kernel", [make_sdho(1.0, 0.7, 1.0), make_ou_mean_revert(1.0, 0.3, 1.0)],
+                             ids=repr)
+    @pytest.mark.parametrize("mode", ["up", "total"])
+    def test_row_makes_few_panel_calls(self, kernel, mode, monkeypatch):
+        calls = []
+        original = crossings._panel
+        monkeypatch.setattr(crossings, "_panel", lambda *args: calls.append(args[2]) or original(*args))
+        row = variance_rate_asymptotic(kernel, self.LEVELS, mode)
+        assert 1 <= len(calls) <= 5
+        assert [st.quad_converged for st in row] == [True] * len(self.LEVELS)
+
+    def _nan_at(self, monkeypatch, kernel, level, t_bad):
+        """The excess at (level, t_bad) is NaN, on the float and array paths."""
+        up, panel = crossings.integrand_up, crossings._panel
+
+        def integrand(k, u, t):
+            return math.nan if (u, t) == (level, t_bad) else up(k, u, t)
+
+        def array_panel(k, levels, ts, total):
+            values = panel(k, levels, ts, total)
+            values[np.ix_(levels[:, 0] == level, np.asarray(ts) == t_bad)] = math.nan
+            return values
+
+        monkeypatch.setattr(crossings, "integrand_up", integrand)
+        monkeypatch.setattr(crossings, "_panel", array_panel)
+
+    def _lags_of(self, monkeypatch, call) -> list:
+        seen = []
+        up = crossings.integrand_up
+        with monkeypatch.context() as patch:
+            patch.setattr(crossings, "integrand_up", lambda k, u, t: seen.append(t) or up(k, u, t))
+            call()
+        return seen
+
+    def test_nan_raises_first_failing_levels_error(self, monkeypatch):
+        kernel = make_sdho(1.0, 0.7, 1.0)
+        t_bad = self._lags_of(monkeypatch, lambda: variance_rate_asymptotic(kernel, 1.0))[20]
+        self._nan_at(monkeypatch, kernel, 1.0, t_bad)
+        with pytest.raises(IntegrationError) as single:
+            variance_rate_asymptotic(kernel, 1.0)
+        with pytest.raises(IntegrationError):  # the row driver itself
+            crossings._row(kernel, [0.5, 1.0, 0.0], CrossingMode.UP, None)
+        with pytest.raises(IntegrationError) as row:
+            variance_rate_asymptotic(kernel, [0.5, 1.0, 0.0])
+        assert (str(row.value), row.value.abscissa) == (str(single.value), single.value.abscissa)
+        assert single.value.abscissa is not None
+
+    def test_failing_lag_no_level_asks_for_keeps_the_row(self, monkeypatch):
+        # A round-0 stub panel that no level's mesh reaches: the lockstep
+        # driver fails there, and the row falls back to the levels' calls.
+        kernel = make_ou_mean_revert(1.0, 0.3, 1.0)
+        expected = [variance_rate_asymptotic(kernel, u) for u in self.LEVELS]
+        asked = set()
+        for u in self.LEVELS:
+            asked.update(self._lags_of(monkeypatch, lambda u=u: variance_rate_asymptotic(kernel, u)))
+        evaluated = []
+        panel = crossings._panel
+        with monkeypatch.context() as patch:
+            patch.setattr(crossings, "_panel", lambda k, lv, ts, total: evaluated.extend(ts.tolist())
+                          or panel(k, lv, ts, total))
+            variance_rate_asymptotic(kernel, self.LEVELS)
+        spare = [t for t in evaluated if t not in asked]
+        assert spare  # round 0 evaluates more than the levels ask for
+        self._nan_at(monkeypatch, kernel, self.LEVELS[0], spare[0])
+        with pytest.raises(IntegrationError):
+            crossings._row(kernel, self.LEVELS, CrossingMode.UP, None)
+        assert variance_rate_asymptotic(kernel, self.LEVELS) == tuple(expected)
 
 
 class TestPlainTypes:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from levelcross.quadrature import (
@@ -9,6 +10,7 @@ from levelcross.quadrature import (
     QuadratureSpec,
     integrate_finite,
     integrate_semi_infinite,
+    integrate_semi_infinite_rows,
     pointwise,
 )
 
@@ -87,6 +89,60 @@ class TestSemiInfinite:
         r = integrate_semi_infinite(pointwise(lambda t: (1.0 + t) ** -3.5), 0.0)
         assert r.converged
         assert abs(r.value - 0.4) <= r.error
+
+
+    def test_one_call_per_panel_it_asks_for(self):
+        # One integrand: 15-node lists for the panels the loop asks for, then
+        # the single edge point of the open-left stub, and no node twice.
+        calls = []
+
+        def f(ts):
+            calls.append(list(ts))
+            return [(1.0 + t) ** -2 for t in ts]
+
+        r = integrate_semi_infinite(f, 0.0, scale=2.0, open_left=1e-7)
+        assert [len(ts) for ts in calls] == [15] * (r.evaluations // 15) + [1]
+        nodes = [t for ts in calls for t in ts]
+        assert len(set(nodes)) == len(nodes) and min(nodes) > 0.0
+
+
+class TestSemiInfiniteRows:
+    """Rows of integrands in lockstep: each row's result is its own
+    integrate_semi_infinite bit for bit (the rational integrands give the
+    same bits in numpy and in Python floats)."""
+
+    RATES = (0.25, 1.0, 3.0, 40.0)
+
+    @pytest.mark.parametrize("spec", [None, QuadratureSpec(rel_tol=1e-6, max_subdivisions=5)])
+    @pytest.mark.parametrize("open_left", [None, 1e-7])
+    def test_rows_equal_single_calls(self, spec, open_left):
+        rates = np.array(self.RATES)[:, None]
+        calls = []
+
+        def rows(ts):
+            calls.append(len(ts))
+            return 1.0 / ((1.0 + rates * ts) * (1.0 + rates * ts)) + ts / (1.0 + ts * ts * ts)
+
+        got = integrate_semi_infinite_rows(rows, len(self.RATES), 0.5, spec, scale=2.0,
+                                           open_left=open_left)
+        expected = [integrate_semi_infinite(
+            pointwise(lambda t, c=c: 1.0 / ((1.0 + c * t) * (1.0 + c * t)) + t / (1.0 + t * t * t)),
+            0.5, spec, scale=2.0, open_left=open_left) for c in self.RATES]
+        assert got == expected
+        assert len(calls) < sum(r.evaluations for r in expected) // 15
+
+    def test_no_rows(self):
+        assert integrate_semi_infinite_rows(lambda ts: 1 / 0, 0, 0.0, open_left=1e-7) == []
+
+    def test_nonfinite_value_raises(self):
+        def rows(ts):
+            values = np.ones((2, len(ts)))
+            values[1, -1] = math.nan
+            return values
+
+        with pytest.raises(IntegrationError) as err:
+            integrate_semi_infinite_rows(rows, 2, 0.0, open_left=1e-7)
+        assert 0.0 < err.value.abscissa < 1.0
 
 
 class TestErrorHonesty:
