@@ -27,7 +27,7 @@ GOLDEN = os.path.join(HERE, "sweep_golden.json")
 
 # OU and oscillator rows, up and total crossings, fano and var_rate; a
 # heavy-tailed rq row, whose levels' meshes differ most; an ou row whose last
-# levels' means underflow to 0.
+# levels' means underflow to 0; two sweeps with no u axis, one level a row.
 CASES = [
     ["sweep", "--kernel", "sdho", "--zeta", "0.5", "--axis", "u:0:2:9", "--quantity", "fano"],
     ["sweep", "--kernel", "sdho", "--axis", "u:-1:1.5:6", "--axis", "zeta:0.3:3:3:log",
@@ -42,6 +42,9 @@ CASES = [
     ["sweep", "--kernel", "ou", "--axis", "u:0:40:9", "--mode", "total",
      "--quantity", "mean_rate,var_rate,fano"],
     ["sweep", "--kernel", "sdho", "--zeta", "0.3", "--axis", "u:-1:2:9", "--quantity", "fano"],
+    ["sweep", "--kernel", "sdho", "--u", "0.5", "--axis", "zeta:0.3:3:5:log",
+     "--quantity", "var_rate,fano"],
+    ["sweep", "--kernel", "ou", "--u", "1", "--mode", "total", "--axis", "tau_f:0.05:5:5:log"],
 ]
 
 
