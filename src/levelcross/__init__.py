@@ -66,7 +66,7 @@ _MONTECARLO_NAMES = frozenset({
     "simulate_sdho_paths",
 })
 
-__all__ = [
+__all__ = sorted(_MONTECARLO_NAMES | {
     "CrossingMode",
     "CrossingParams",
     "CrossingStats",
@@ -78,22 +78,13 @@ __all__ = [
     "NegativeVarianceError",
     "QuadratureResult",
     "QuadratureSpec",
-    "SimConfig",
-    "SimEstimate",
-    "SimulationConfigError",
     "ValidityError",
     "ValidityReport",
     "abg_params",
-    "bruteforce_integrand_total",
-    "bruteforce_integrand_up",
-    "bruteforce_theorem_integrals",
-    "bruteforce_variance",
     "check_validity",
-    "count_crossings",
     "dimensionless_fano",
     "erf",
     "erfc",
-    "estimate_stats",
     "fano",
     "integrand_total",
     "integrand_up",
@@ -105,13 +96,10 @@ __all__ = [
     "mean_count",
     "mean_rate",
     "owens_t",
-    "simulate_kernel_paths",
-    "simulate_ou_system_paths",
-    "simulate_sdho_paths",
     "variance_count",
     "variance_rate_asymptotic",
     "zero_level_stats",
-]
+})
 
 
 def __getattr__(name: str):

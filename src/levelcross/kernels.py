@@ -81,9 +81,8 @@ class Kernel(ABC):
     r0, q0      r(0) and -r''(0), exact closed forms
     tau_slow    slowest decay timescale (drives grids and tails downstream)
     tau_fast    shortest timescale the sampled process resolves
-    amplitude   sigma such that r(t) = sigma^2 * g(t/timescale; shape)
-    timescale   tau of the same dimensionless decomposition
-    shape       dimensionless shape parameters (dict)
+    shape       dimensionless shape parameters (dict): what is left of the
+                parameters once amplitude and timescale are scaled out
     """
 
     family: str
@@ -92,8 +91,6 @@ class Kernel(ABC):
     q0: float
     tau_slow: float
     tau_fast: float
-    amplitude: float
-    timescale: float
     shape: dict
 
     def __init__(self):
@@ -209,8 +206,6 @@ class SdhoKernel(Kernel):
         else:
             self.tau_slow = 1.0 / (zeta * omega0)
         self.tau_fast = 1.0 / omega0
-        self.amplitude = math.sqrt(theta) / omega0
-        self.timescale = 1.0 / omega0
         self.shape = {"zeta": zeta}
 
     @property
@@ -294,8 +289,6 @@ class OuMeanRevertKernel(Kernel):
         self.q0 = sigma * sigma / ((1.0 + self.kappa) * tau_e * tau_e)
         self.tau_slow = max(tau_f, tau_e)
         self.tau_fast = min(tau_f, tau_e)
-        self.amplitude = sigma
-        self.timescale = tau_e
         self.shape = {"kappa": self.kappa}
 
     def _rpq(self, t, xp=_Floats):
@@ -354,8 +347,6 @@ class RationalQuadraticKernel(Kernel):
         self.q0 = sigma * sigma / (tau * tau)
         self.tau_slow = tau
         self.tau_fast = tau
-        self.amplitude = sigma
-        self.timescale = tau
         self.shape = {"alpha_shape": alpha_shape}
 
     def _rpq(self, t, xp=_Floats):
@@ -402,8 +393,6 @@ class SquaredExponentialKernel(Kernel):
         self.q0 = sigma * sigma / (tau * tau)
         self.tau_slow = tau
         self.tau_fast = tau
-        self.amplitude = sigma
-        self.timescale = tau
         self.shape = {}
 
     def _rpq(self, t, xp=_Floats):
@@ -473,11 +462,8 @@ class ValidityReport:
     def passed(self, name: str) -> bool:
         return self.checks[name][0]
 
-    def detail(self, name: str):
-        return self.checks[name][1]
 
-
-def check_validity(kernel, grid: np.ndarray | None = None, eps: float | None = None) -> ValidityReport:
+def check_validity(kernel) -> ValidityReport:
     """Numeric validity gate for a kernel, or any stand-in with its attributes
     and its ``eval`` and ``eval_array`` methods.
 
@@ -491,10 +477,8 @@ def check_validity(kernel, grid: np.ndarray | None = None, eps: float | None = N
     tau = kernel.tau_slow
     r0 = kernel.r0
     q0 = kernel.q0
-    if grid is None:
-        grid = default_lag_grid(kernel)
-    if eps is None:
-        eps = 0.1 * tau
+    grid = default_lag_grid(kernel)
+    eps = 0.1 * tau
     checks: dict = {}
 
     checks["positive_moments"] = (r0 > 0.0 and q0 > 0.0, {"r0": r0, "q0": q0})

@@ -3,6 +3,9 @@
 import argparse
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -152,6 +155,31 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert err == "usage error: axis 'u' given more than once\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("quantity", ["", "fano,fano", "fano,speed"])
+    def test_bad_quantity_list_is_usage_error(self, capsys, tmp_path, quantity):
+        out = tmp_path / "sweep.csv"
+        code, text, err = run(capsys, "sweep", "--kernel", "sdho", "--axis", "u:0:1:2",
+                              "--quantity", quantity, "--out", str(out))
+        assert code == EXIT_USAGE
+        assert text == "" and not out.exists()
+        assert len(err.splitlines()) == 1
+        assert err.startswith("usage error: --quantity ")
+
+    UNWRITABLE = [
+        ["stats", "--kernel", "sdho"],
+        ["sweep", "--kernel", "sdho", "--axis", "u:0:1:2", "--quantity", "fano"],
+        ["simulate", "--kernel", "sdho", "--horizon", "10", "--trials", "50", "--seed", "1"],
+    ]
+
+    @pytest.mark.parametrize("argv", UNWRITABLE, ids=[a[0] for a in UNWRITABLE])
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, argv):
+        out = tmp_path / "missing" / "out.json"
+        code, text, err = run(capsys, *argv, "--out", str(out))
+        assert code == EXIT_USAGE
+        assert text == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"usage error: cannot write --out {out}: ")
 
     def test_parse_axis(self):
         assert _parse_axis("u:0:2:5") == ("u", 0.0, 2.0, 5, "lin")
@@ -314,6 +342,41 @@ class TestSweep:
         assert len(rows) == 2
         assert all(math.isfinite(float(r["fano"])) for r in rows)
 
+    POOLS = [
+        ("u:0:1:3", 4, 8, []),  # one parameter set runs in-process
+        ("zeta:0.5:2:3", 8, 2, [2]),  # no more workers than CPUs
+        ("zeta:0.5:2:3", 8, 16, [3]),  # nor than parameter sets
+        ("zeta:0.5:2:3", 2, 16, [2]),
+        ("zeta:0.5:2:3", 4, None, []),  # an unknown CPU count counts as one
+    ]
+
+    @pytest.mark.parametrize("axis, jobs, cpus, pools", POOLS)
+    def test_worker_count(self, capsys, tmp_path, monkeypatch, axis, jobs, cpus, pools):
+        import concurrent.futures
+        started = []
+
+        class RecordingPool:
+            """Stands in for ProcessPoolExecutor; starts no process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        code, _, _ = run(capsys, "sweep", "--kernel", "sdho", "--axis", axis, "--jobs", str(jobs),
+                         "--quantity", "mean_rate", "--out", str(tmp_path / "sweep.csv"))
+        assert code == EXIT_OK
+        assert started == pools
+
     def test_grid_row_major(self):
         spec = SweepSpec("se", {}, [("u", 0.0, 1.0, 2, "lin"),
                                     ("tau", 1.0, 2.0, 2, "lin")],
@@ -354,6 +417,38 @@ class TestConfig:
         code, out, err = run(capsys, "stats", "--config", str(cfg))
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("usage error: config key 'json': ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("text, message", [
+        ("kernel = sdho\nmode = sideways\n",
+         "config key 'mode': expected one of up, down, total, got 'sideways'"),
+        ("kernel = nope\n", "config key 'kernel': expected one of sdho, ou, rq, se, got 'nope'"),
+    ], ids=["mode", "kernel"])
+    def test_config_value_outside_choices_is_usage_error(self, capsys, tmp_path, text, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code, out, err = run(capsys, "stats", "--config", str(cfg))
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"usage error: {message}\n"
+
+    def test_config_reads_like_flags(self, capsys, tmp_path):
+        # Repeatable --axis as a ';'-separated list; the --json switch as a word.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kernel = sdho\naxis = u:0:1:3; zeta:0.5:2:2\nquantity = fano\njson = on\n")
+        flags = ["--kernel", "sdho", "--axis", "u:0:1:3", "--axis", "zeta:0.5:2:2",
+                 "--quantity", "fano", "--json"]
+        assert run(capsys, "sweep", "--config", str(cfg), "--out", str(tmp_path / "a.csv"))[0] == EXIT_OK
+        assert run(capsys, "sweep", *flags, "--out", str(tmp_path / "b.csv"))[0] == EXIT_OK
+        for ext in ("csv", "json"):
+            assert (tmp_path / f"a.{ext}").read_bytes() == (tmp_path / f"b.{ext}").read_bytes()
+
+    def test_config_file_read_once(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kernel = sdho\nu = 0.5\n")
+        reads = []
+        original = cli._load_config
+        monkeypatch.setattr(cli, "_load_config", lambda path: reads.append(path) or original(path))
+        assert run(capsys, "stats", "--config", str(cfg))[0] == EXIT_OK
+        assert reads == [str(cfg)]
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -411,3 +506,18 @@ class TestVerify:
         assert code == EXIT_OK
         assert out.count("PASS") >= 4
         assert "FAIL" not in out
+
+
+class TestReadme:
+    def test_documented_commands_resolve(self):
+        # Every levelcross command in the README's code blocks parses, and
+        # its options resolve; nothing is computed.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        lines = [line for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+                 for line in block.splitlines() if line.startswith("levelcross ")]
+        assert lines
+        defaults = {"stats": cli._STATS_DEFAULTS, "sweep": cli._SWEEP_DEFAULTS,
+                    "simulate": cli._SIM_DEFAULTS, "verify": cli._VERIFY_DEFAULTS}
+        for line in lines:
+            args = cli.build_parser().parse_args(shlex.split(line)[1:])
+            cli._merge(args, defaults[args.command])

@@ -16,6 +16,7 @@ from levelcross import crossings
 
 from levelcross.crossings import (
     CrossingMode,
+    NegativeVarianceError,
     abg_params,
     dimensionless_fano,
     fano,
@@ -37,7 +38,7 @@ from levelcross.kernels import (
     make_squared_exponential,
 )
 from levelcross.montecarlo import bruteforce_integrand_total, bruteforce_integrand_up
-from levelcross.quadrature import IntegrationError
+from levelcross.quadrature import IntegrationError, QuadratureResult
 
 SDHO = make_sdho(1.0, 1.0, 1.0)
 SE = make_squared_exponential(1.0, 1.0)
@@ -315,6 +316,15 @@ class TestLevelRow:
         ]
         assert repr(variance_rate_asymptotic(kernel, [0.5], mode)) == repr((row[1],))
 
+    def test_one_level_takes_the_row_path(self, monkeypatch):
+        calls = []
+        original = crossings._panel
+        monkeypatch.setattr(crossings, "_panel", lambda *args: calls.append(args[1]) or original(*args))
+        (row,) = variance_rate_asymptotic(SDHO, [0.5], "up")
+        assert calls and all(levels.tolist() == [[0.5]] for levels in calls)
+        monkeypatch.undo()
+        assert repr(row) == repr(variance_rate_asymptotic(SDHO, 0.5, "up"))
+
     def test_row_evaluates_kernel_once_per_lag(self, monkeypatch):
         # The row evaluates its lags through eval_array, a panel at a time.
         kernel = make_sdho(1.0, 0.7, 1.0)
@@ -351,6 +361,16 @@ class TestRowDriver:
         row = variance_rate_asymptotic(kernel, self.LEVELS, mode)
         assert 1 <= len(calls) <= 5
         assert [st.quad_converged for st in row] == [True] * len(self.LEVELS)
+
+    def test_programming_error_in_row_path_raises(self, monkeypatch):
+        # Only what a lag, the gate or the integrator raises sends a row to
+        # the single-level calls, so a fault in the row path shows.
+        def broken(*args):
+            raise TypeError("injected")
+
+        monkeypatch.setattr(crossings, "_panel", broken)
+        with pytest.raises(TypeError, match="injected"):
+            variance_rate_asymptotic(make_sdho(1.0, 0.7, 1.0), self.LEVELS)
 
     def _nan_at(self, monkeypatch, kernel, level, t_bad):
         """The excess at (level, t_bad) is NaN, on the float and array paths."""
@@ -493,6 +513,26 @@ class TestVariance:
             variance_count(SDHO, 0.5, 0.0)
         with pytest.raises(ValueError):
             mean_count(SDHO, 0.5, -1.0)
+
+
+class TestAssemble:
+    """mean + 2 int I below 0: within 10x the quadrature error it is clamped
+    to 0 with a warning, beyond that it raises."""
+
+    @staticmethod
+    def _assemble(excess: float, error: float):
+        mean = mean_rate(SDHO, 0.5)
+        result = QuadratureResult(-0.5 * mean + excess, error, 15, True)
+        return crossings._assemble(SDHO, 0.5, CrossingMode.UP, None, lambda: result)
+
+    def test_slightly_negative_variance_clamps_to_zero(self):
+        st = self._assemble(-1e-12, 1e-12)
+        assert (st.variance, st.fano, st.quad_error) == (0.0, 0.0, 2e-12)
+        assert [w for w in st.warnings if "clamped to 0" in w]
+
+    def test_far_negative_variance_raises(self):
+        with pytest.raises(NegativeVarianceError, match="beyond 10x quadrature error"):
+            self._assemble(-1e-6, 1e-12)
 
 
 class TestFarLevel:
