@@ -1,0 +1,21 @@
+"""Monte Carlo estimates against committed bits (tests/data/mc_golden.json).
+
+The fixture was written by tests/data/make_mc_golden.py.  Every path, count
+and bootstrap error of a seeded run is reproducible, so any change to how
+trials are drawn, grouped or counted that moves a single bit fails here.
+"""
+
+import json
+import os
+import sys
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+sys.path.insert(0, DATA)
+
+from make_mc_golden import GOLDEN, compute  # noqa: E402
+
+
+def test_estimates_match_golden():
+    with open(GOLDEN) as fh:
+        expected = json.load(fh)["cases"]
+    assert compute() == expected
