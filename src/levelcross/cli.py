@@ -20,6 +20,7 @@ above 4).  Identical flags and seed produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import itertools
 import json
@@ -145,8 +146,12 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
             raise UsageError("--kernel is required (flag or config file)")
         names = _FAMILY_PARAMS[args.kernel]
         for p in _PARAM_DEFAULTS:
-            if p not in names and getattr(args, p) is not None:
+            if p in names:
+                continue
+            if getattr(args, p) is not None:
                 raise UsageError(f"--{p.replace('_', '-')} is not a parameter of {args.kernel!r}")
+            if p in config:
+                raise UsageError(f"config key {p!r} is not a parameter of {args.kernel!r}")
         defaults = {"kernel": args.kernel, **defaults, **{p: _PARAM_DEFAULTS[p] for p in names}}
     for key, default in defaults.items():
         resolve(key, default)
@@ -193,6 +198,17 @@ def _write(path: str, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise UsageError(f"cannot write --out {path}: {exc.strerror or exc}") from exc
+
+
+def _check_out(path: str) -> None:
+    """Raise _write's usage error now if path cannot be opened for writing,
+    so that a long computation is not lost to a missing directory."""
+    directory = os.path.dirname(path) or "."
+    for failed, code in ((not os.path.isdir(directory), errno.ENOENT),
+                         (not os.access(directory, os.W_OK), errno.EACCES),
+                         (os.path.isdir(path), errno.EISDIR)):
+        if failed:
+            raise UsageError(f"cannot write --out {path}: {os.strerror(code)}")
 
 
 def _report(args, report: dict) -> None:
@@ -377,6 +393,7 @@ _SWEEP_DEFAULTS = {
 
 def cmd_sweep(args) -> int:
     fixed = _merge(args, _SWEEP_DEFAULTS)
+    _check_out(args.out)
     axes = [_parse_axis(a) for a in args.axis or []]
     quantities = [q.strip() for q in args.quantity.split(",") if q.strip()]
     spec = SweepSpec(

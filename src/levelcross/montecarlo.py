@@ -7,7 +7,10 @@ Independent oracles for the closed-form crossing statistics:
 * exact-discretization path simulation for the two linear SDE systems
   (damped oscillator, OU-driven mean reversion) and circulant-embedding
   sampling for arbitrary kernels, with vectorized crossing counting and a
-  reproducible per-trial substream RNG scheme;
+  reproducible per-trial substream RNG scheme.  The circulant sampler
+  transforms its trials in groups, one FFT pair a group rather than a
+  trial; a group is bounded by its number of samples, not of trials, so
+  that a long embedding ring does not allocate many rings at once;
 * crossing counts: for the two linear systems, of the continuous-time path,
   by exact Gaussian-bridge refinement of every step that could hide a
   crossing; for arbitrary kernels, of sign changes between samples, which
@@ -176,7 +179,10 @@ def _trial_rngs(config: SimConfig) -> Iterator[tuple[int, list[np.random.Generat
     SeedSequence(seed, spawn_key=(i,)), identical regardless of scheduling.
     The same generators are re-keyed for the next chunk.
     """
-    pool = [np.random.Generator(np.random.Philox(0)) for _ in range(min(_CHUNK, config.trials))]
+    # _rekey sets every key before use, so the pool's own key never matters,
+    # and one shared SeedSequence spares building one per generator.
+    seed = np.random.SeedSequence(0)
+    pool = [np.random.Generator(np.random.Philox(seed)) for _ in range(min(_CHUNK, config.trials))]
     for start in range(0, config.trials, _CHUNK):
         keys = _trial_keys(config.seed, start, min(start + _CHUNK, config.trials))
         rngs = pool[:len(keys)]
@@ -305,7 +311,7 @@ def _circulant_spectrum(kernel: Kernel, n: int, dt: float) -> np.ndarray:
     """Eigenvalues of a non-negative-definite circulant embedding of r(k dt)."""
     m = n - 1
     for _ in range(12):
-        cov = np.array([kernel.eval(k * dt).r for k in range(m + 1)])
+        cov = kernel.eval_array(np.arange(m + 1) * dt).r
         ring = np.concatenate([cov, cov[-2:0:-1]])
         eig = np.fft.rfft(ring).real
         if eig.min() >= -1e-12 * eig.max():
@@ -314,18 +320,31 @@ def _circulant_spectrum(kernel: Kernel, n: int, dt: float) -> np.ndarray:
     raise SimulationConfigError("circulant embedding failed to become non-negative definite")
 
 
+# Most normals one group of the circulant sampler transforms at once: 16
+# trials on a ring of 2000 (groups of 8 to 64 trials run alike), one on a ring
+# of 32000 or more, where a fixed 16 would hold some 200 MB at ring 512000.
+_GROUP_SAMPLES = 2**15
+
+
 def _kernel_chunks(kernel: Kernel, config: SimConfig) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (first_trial_index, block), block of shape (n_steps+1, chunk).
+
+    Each trial's normals fill one row of a group buffer, and one rfft/irfft
+    pair over the rows gives the bits of one pair per trial.
+    """
     n = config.n_steps + 1
     eig, m = _circulant_spectrum(kernel, n, config.dt)
     ring = 2 * m
     scale = np.sqrt(eig / ring)
+    z = np.empty((min(max(1, _GROUP_SAMPLES // ring), _CHUNK, config.trials), ring))
     for start, rngs in _trial_rngs(config):
         block = np.empty((n, len(rngs)))
-        for j, rng in enumerate(rngs):
-            z = rng.standard_normal(ring)
-            spec = np.fft.rfft(z) * scale * math.sqrt(ring)
-            path = np.fft.irfft(spec, n=ring)
-            block[:, j] = path[:n]
+        for lo in range(0, len(rngs), len(z)):
+            group = z[:len(rngs) - lo]
+            for row, rng in zip(group, rngs[lo:]):
+                rng.standard_normal(out=row)
+            spec = np.fft.rfft(group, axis=1) * scale * math.sqrt(ring)
+            block[:, lo:lo + len(group)] = np.fft.irfft(spec, n=ring, axis=1)[:, :n].T
         yield start, block
 
 

@@ -181,6 +181,17 @@ class TestUsageErrors:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"usage error: cannot write --out {out}: ")
 
+    @pytest.mark.parametrize("name, reason", [("missing/x.csv", "No such file or directory"),
+                                              (".", "Is a directory")], ids=["no-dir", "is-dir"])
+    def test_sweep_checks_out_before_computing(self, capsys, tmp_path, monkeypatch, name, reason):
+        calls = []
+        monkeypatch.setattr(cli, "_sweep_kernel", lambda task: calls.append(task))
+        out = tmp_path / name
+        code, text, err = run(capsys, "sweep", "--kernel", "sdho", "--axis", "u:0:1:2",
+                              "--out", str(out))
+        assert (code, text, calls) == (EXIT_USAGE, "", [])
+        assert err == f"usage error: cannot write --out {out}: {reason}\n"
+
     def test_parse_axis(self):
         assert _parse_axis("u:0:2:5") == ("u", 0.0, 2.0, 5, "lin")
         assert _parse_axis("tau:0.1:10:7:log") == ("tau", 0.1, 10.0, 7, "log")
@@ -455,6 +466,20 @@ class TestConfig:
         cfg.write_text("kernel = sdho\nwavelength = 3\n")
         code, _, _ = run(capsys, "stats", "--config", str(cfg))
         assert code == EXIT_USAGE
+
+    def test_config_key_of_another_family_reads_like_its_flag(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kernel = se\nzeta = 5\n")
+        code, out, err = run(capsys, "stats", "--config", str(cfg))
+        assert code == EXIT_USAGE and out == ""
+        assert err == "usage error: config key 'zeta' is not a parameter of 'se'\n"
+
+    def test_config_key_of_no_family_is_unknown(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kernel = se\nwavelength = 3\n")
+        code, out, err = run(capsys, "stats", "--config", str(cfg))
+        assert code == EXIT_USAGE and out == ""
+        assert err == "usage error: unknown config keys: ['wavelength']\n"
 
     def test_tail_cutoff_is_unknown_key(self, capsys, tmp_path):
         # The statistics fix their tail policy; no option sets the cutoff.

@@ -104,6 +104,20 @@ class TestSimulators:
         large = np.stack(list(simulate_sdho_paths(sdho_config(trials=12, T=5.0))))
         assert np.array_equal(large[:4], small)
 
+    def test_kernel_trials_independent_of_chunking(self):
+        # The circulant sampler transforms trials in groups; a trial's path
+        # must not depend on the group or the chunk it falls in.  (A config
+        # needs two trials, so two stand for one.)
+        kernel = make_squared_exponential(1.0, 1.0)
+
+        def paths(trials):
+            cfg = SimConfig(system="kernel", kernel=kernel, T=20.0, dt=0.02, trials=trials, seed=3)
+            return np.stack(list(simulate_kernel_paths(kernel, cfg)))
+
+        large = paths(300)
+        for trials in (12, 2):
+            assert np.array_equal(paths(trials), large[:trials])
+
     def test_trial_keys_match_seed_sequence(self):
         # Trial i's stream is keyed by SeedSequence(seed, spawn_key=(i,)),
         # for seeds of one and of several 32-bit words.
