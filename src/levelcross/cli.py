@@ -470,15 +470,29 @@ def cmd_simulate(args) -> int:
         raise UsageError(str(exc)) from exc
     analytic = cr.variance_count(kernel, args.u, args.horizon, args.mode, spec)
     asym = cr.variance_rate_asymptotic(kernel, args.u, args.mode, spec)
-    z_mean = (est.mean - analytic.mean) / est.se_mean if est.se_mean > 0 else math.inf
-    z_var = (est.variance - analytic.variance) / est.se_variance if est.se_variance > 0 else math.inf
+
+    def z(diff: float, se: float) -> float:
+        return diff / se if se > 0 else math.nan  # NaN where no SE is defined
+
+    # A level that no trial crosses has a sample SE of 0; the analytic
+    # variance still gives the mean's SE.
+    se_mean = est.se_mean or math.sqrt(max(analytic.variance, 0.0) / est.trials)
+    z_mean = z(est.mean - analytic.mean, se_mean)
+    z_var = z(est.variance - analytic.variance, est.se_variance)
     fano_analytic = asym.fano if asym.fano is not None else math.nan
-    z_fano = (est.fano - fano_analytic) / est.se_fano if est.se_fano > 0 else math.inf
+    z_fano = z(est.fano - fano_analytic, est.se_fano)
+    if config.system == "kernel":
+        # Sign changes between samples miss excursions shorter than dt.
+        sampled = mc.sampled_mean_exact(config)
+        counting = {"count": "sampled", "mean_sampled_exact": sampled,
+                    "bias_pct": 100.0 * (sampled / analytic.mean - 1.0) if analytic.mean > 0 else math.nan}
+    else:
+        counting = {"count": "continuous-time"}
     report = {
         "kernel": args.kernel, **params, "u": args.u, "mode": args.mode,
         "horizon": args.horizon, "dt": dt, "trials": args.trials, "seed": args.seed,
         "mean_analytic": analytic.mean, "mean_simulated": est.mean,
-        "mean_se": est.se_mean, "mean_z": z_mean,
+        "mean_se": est.se_mean, "mean_z": z_mean, **counting,
         "variance_analytic": analytic.variance, "variance_simulated": est.variance,
         "variance_se": est.se_variance, "variance_z": z_var,
         "fano_analytic_asymptotic": fano_analytic, "fano_simulated": est.fano,
@@ -487,6 +501,7 @@ def cmd_simulate(args) -> int:
     _report(args, report)
     # Fano compares a finite-horizon estimate to the asymptotic value, so it
     # carries a bias at moderate horizons; mean and variance are exact matches.
+    # A NaN z-score fails neither comparison.
     if abs(z_mean) > 4.0 or abs(z_var) > 4.0:
         return EXIT_STATISTICAL
     return EXIT_OK

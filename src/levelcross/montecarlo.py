@@ -7,10 +7,15 @@ Independent oracles for the closed-form crossing statistics:
 * exact-discretization path simulation for the two linear SDE systems
   (damped oscillator, OU-driven mean reversion) and circulant-embedding
   sampling for arbitrary kernels, with vectorized crossing counting and a
-  reproducible per-trial substream RNG scheme.  The circulant sampler
-  transforms its trials in groups, one FFT pair a group rather than a
-  trial; a group is bounded by its number of samples, not of trials, so
-  that a long embedding ring does not allocate many rings at once;
+  reproducible per-trial substream RNG scheme.  Each thread keeps one pool
+  of generators for its whole life and re-keys it to the trials of every
+  chunk, so no call builds generators after the thread's first (see
+  _trial_rngs for why iterators may share it).  The linear systems step
+  each chunk's states with one BLAS product into a reused buffer.  The
+  circulant sampler transforms its trials in groups, one FFT pair a group
+  rather than a trial; a group is bounded by its number of samples, not of
+  trials, so that a long embedding ring does not allocate many rings at
+  once;
 * crossing counts: for the two linear systems, of the continuous-time path,
   by exact Gaussian-bridge refinement of every step that could hide a
   crossing; for arbitrary kernels, of sign changes between samples, which
@@ -30,6 +35,7 @@ relative precision.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -51,6 +57,7 @@ __all__ = [
     "simulate_kernel_paths",
     "count_crossings",
     "estimate_stats",
+    "sampled_mean_exact",
     "bruteforce_integrand_up",
     "bruteforce_integrand_total",
     "bruteforce_theorem_integrals",
@@ -170,6 +177,18 @@ def _rekey(rng: np.random.Generator, key: np.ndarray) -> None:
 
 
 _CHUNK = 256
+_POOL = threading.local()
+
+
+def _pool() -> list[np.random.Generator]:
+    """This thread's _CHUNK generators, built on its first call and kept for
+    the thread's life."""
+    if not hasattr(_POOL, "rngs"):
+        # _rekey sets every key before use, so the pool's own key never
+        # matters, and one shared SeedSequence spares one per generator.
+        seed = np.random.SeedSequence(0)
+        _POOL.rngs = [np.random.Generator(np.random.Philox(seed)) for _ in range(_CHUNK)]
+    return _POOL.rngs
 
 
 def _trial_rngs(config: SimConfig) -> Iterator[tuple[int, list[np.random.Generator]]]:
@@ -177,15 +196,17 @@ def _trial_rngs(config: SimConfig) -> Iterator[tuple[int, list[np.random.Generat
 
     Counter-style substreams: trial i draws from Philox keyed by
     SeedSequence(seed, spawn_key=(i,)), identical regardless of scheduling.
-    The same generators are re-keyed for the next chunk.
+    rngs are the first generators of the calling thread's pool (_pool),
+    re-keyed for each chunk, so every iterator of the thread shares them.
+    That is safe because no pool generator is used across a yield to the
+    caller of a public iterator: a chunk draws all its paths between its
+    re-keying and its yield.  The one exception is _trial_counts, whose
+    bridge draws from a chunk's rngs before asking for the next chunk,
+    within one call.
     """
-    # _rekey sets every key before use, so the pool's own key never matters,
-    # and one shared SeedSequence spares building one per generator.
-    seed = np.random.SeedSequence(0)
-    pool = [np.random.Generator(np.random.Philox(seed)) for _ in range(min(_CHUNK, config.trials))]
     for start in range(0, config.trials, _CHUNK):
         keys = _trial_keys(config.seed, start, min(start + _CHUNK, config.trials))
-        rngs = pool[:len(keys)]
+        rngs = _pool()[:len(keys)]
         for rng, key in zip(rngs, keys):
             _rekey(rng, key)
         yield start, rngs
@@ -249,10 +270,13 @@ def _linear_chunks(config: SimConfig):
     """Yield (first_trial_index, states, rngs), one chunk of trials at a time.
 
     states has shape (n_steps+1, 2, chunk): the whole state at every sample.
-    rngs are the chunk's per-trial generators from _trial_rngs, left just
-    after the draws that made the paths, so any later draw for a trial comes
-    from that trial's own stream whatever the chunking.  The next chunk
-    overwrites both, so use them before asking for it.
+    Each step adds prop @ state to the step's noise, computed by np.dot into
+    one (2, chunk) buffer: the same dgemm as the @ operator, so the same
+    bits, without a new array per step.  rngs are the chunk's per-trial
+    generators from _trial_rngs, left just after the draws that made the
+    paths, so any later draw for a trial comes from that trial's own stream
+    whatever the chunking.  The next chunk overwrites both, and so may any
+    other pool user of the thread, so use them before asking for it.
     """
     prop, chol_cond, chol_station = _transition(config)
     n = config.n_steps
@@ -266,6 +290,7 @@ def _linear_chunks(config: SimConfig):
         for j, rng in enumerate(rngs):
             rng.standard_normal(out=noise[j])
         states = state_buf[:noise.size].reshape(n + 1, 2, width)
+        step = np.empty((2, width))
         states[0] = chol_station @ noise[:, 0, :].T
         # Step noise, transposed into place a few steps at a time: one
         # whole-block transpose runs several times slower, out of cache.
@@ -274,7 +299,8 @@ def _linear_chunks(config: SimConfig):
             states[i:i + _TRANSPOSE_STEPS] = (
                 (chol_cond @ block).reshape(2, -1, width).transpose(1, 0, 2))
         for cur, nxt in zip(states[:-1], states[1:]):
-            nxt += prop @ cur
+            np.dot(prop, cur, out=step)
+            nxt += step
         yield start, states, rngs
 
 
@@ -543,8 +569,11 @@ def estimate_stats(config: SimConfig, bootstrap: int = 1000) -> SimEstimate:
     system="kernel" it is the count of sign changes between samples, which
     misses excursions shorter than dt: its expectation is
     n (Phi(h) - Phi_2(h, h; rho)) for up-crossings, with h = u / sigma and
-    rho the one-step autocorrelation.
+    rho the one-step autocorrelation (see sampled_mean_exact).  bootstrap
+    is the number of resamples behind se_variance and se_fano, at least 2.
     """
+    if bootstrap < 2:
+        raise ValueError(f"bootstrap must be at least 2 resamples, got {bootstrap}")
     counts = _trial_counts(config, _mode(config.mode))
     n = config.trials
     mean = float(np.mean(counts))
@@ -563,14 +592,34 @@ def estimate_stats(config: SimConfig, bootstrap: int = 1000) -> SimEstimate:
         boot_mean[rows:rows + 64] = resampled.mean(axis=1)
         boot_var[rows:rows + 64] = resampled.var(axis=1, ddof=1)
     se_var = float(np.std(boot_var, ddof=1))
+    crossed = boot_mean > 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        boot_fano = np.where(boot_mean > 0, boot_var / boot_mean, np.nan)
-    se_fano = float(np.nanstd(boot_fano, ddof=1))
+        boot_fano = np.where(crossed, boot_var / boot_mean, np.nan)
+    # A spread of Fano factors needs two resamples that cross.
+    se_fano = float(np.nanstd(boot_fano, ddof=1)) if np.count_nonzero(crossed) > 1 else math.nan
     return SimEstimate(
         mean=mean, variance=var, fano=fano_est,
         se_mean=se_mean, se_variance=se_var, se_fano=se_fano,
         trials=n, total_crossings=int(np.sum(counts)),
     )
+
+
+def sampled_mean_exact(config: SimConfig) -> float:
+    """Expected count of sign changes between samples, what system="kernel"
+    counts.
+
+    Each of the n_steps sample pairs (X0, X1) up-crosses, X0 < u <= X1, with
+    probability Phi(h) - Phi_2(h, h; rho) = 2 T(h, sqrt((1 - rho) / (1 + rho))),
+    where h = u / sqrt(r0), rho = r(dt) / r0 and T is Owen's T function;
+    total crossings count twice that.
+    """
+    if config.system != "kernel":
+        raise SimulationConfigError("config.system must be 'kernel'")
+    kernel = config.kernel
+    rho = kernel.eval(config.dt).r / kernel.r0
+    h = config.u / math.sqrt(kernel.r0)
+    pair = 2.0 * owens_t(h, math.sqrt((1.0 - rho) / (1.0 + rho)))
+    return float(config.n_steps * pair * (2.0 if _mode(config.mode) is CrossingMode.TOTAL else 1.0))
 
 
 # -- brute-force integrals ----------------------------------------------------

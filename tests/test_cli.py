@@ -5,6 +5,7 @@ import json
 import math
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import pytest
@@ -512,6 +513,47 @@ class TestSimulate:
         assert abs(doc["mean_z"]) < 4.0
         assert abs(doc["variance_z"]) < 4.0
         assert doc["trials"] == 200
+
+    def test_uncrossed_level_is_not_a_statistical_failure(self, capsys):
+        # No trial crosses u = 8 sigma: the sample SEs are 0 and no
+        # resample has a Fano factor.  The mean's SE comes from the analytic
+        # variance; the other z-scores have no SE and read NaN.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, _ = run(capsys, "simulate", "--kernel", "sdho", "--u", "8",
+                               "--horizon", "10", "--trials", "50", "--seed", "1", "--json")
+        assert code == EXIT_OK
+        assert not caught
+        doc = json.loads(out)
+        assert doc["mean_simulated"] == 0 and doc["mean_se"] == 0
+        assert math.isfinite(doc["mean_z"]) and abs(doc["mean_z"]) < 4.0
+        assert math.isnan(doc["variance_z"]) and math.isnan(doc["fano_se"])
+        assert math.isnan(doc["fano_z"])
+
+    def test_states_how_it_counts(self, capsys):
+        code, out, _ = run(capsys, "simulate", "--kernel", "sdho", "--horizon", "10",
+                           "--trials", "20", "--seed", "1", "--json")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["count"] == "continuous-time"
+        assert "mean_sampled_exact" not in doc and "bias_pct" not in doc
+
+    def test_states_sampled_count_bias(self, capsys):
+        from levelcross import montecarlo as mc
+
+        code, out, _ = run(capsys, "simulate", "--kernel", "se", "--u", "0.5", "--mode", "total",
+                           "--horizon", "20", "--trials", "20", "--seed", "1",
+                           "--dt-factor", "0.05", "--json")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        config = mc.SimConfig(system="kernel", kernel=cli.kn.make_squared_exponential(1.0, 1.0),
+                              T=20.0, dt=doc["dt"], trials=20, u=0.5, mode="total")
+        assert doc["count"] == "sampled"
+        assert doc["mean_sampled_exact"] == mc.sampled_mean_exact(config)
+        assert doc["bias_pct"] == pytest.approx(
+            100.0 * (doc["mean_sampled_exact"] / doc["mean_analytic"] - 1.0), rel=1e-12)
+        # Sampling can only miss crossings.
+        assert -1.0 < doc["bias_pct"] < 0.0
 
     def test_rejects_ou_via_kernel_flag_misuse(self, capsys):
         code, _, _ = run(capsys, "simulate", "--kernel", "rq", "--trials", "x")

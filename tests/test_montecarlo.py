@@ -6,22 +6,29 @@ parts are checked at a few standard errors with fixed seeds.
 """
 
 import math
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import multivariate_normal, norm
 
 from levelcross.crossings import mean_rate, variance_count, variance_rate_asymptotic
 from levelcross.kernels import make_sdho, make_squared_exponential
 from levelcross.montecarlo import (
     SimConfig,
     SimulationConfigError,
+    _CHUNK,
     _trial_keys,
     bruteforce_theorem_integrals,
     bruteforce_variance,
     count_crossings,
     estimate_stats,
     lemma_residuals,
+    sampled_mean_exact,
     simulate_kernel_paths,
+    simulate_ou_system_paths,
     simulate_sdho_paths,
     theorem_total_closed_form,
     theorem_up_closed_form,
@@ -190,6 +197,110 @@ class TestEstimates:
         up = estimate_stats(sdho_config(trials=64, T=20.0, mode="up"))
         tot = estimate_stats(sdho_config(trials=64, T=20.0, mode="total"))
         assert tot.mean > 1.5 * up.mean
+
+    @pytest.mark.parametrize("bootstrap", [0, 1])
+    def test_bootstrap_needs_two_resamples(self, bootstrap):
+        with pytest.raises(ValueError, match="bootstrap"):
+            estimate_stats(sdho_config(trials=4, T=2.0), bootstrap=bootstrap)
+
+    def test_uncrossed_level_has_no_fano_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate_stats(sdho_config(trials=20, T=10.0, u=8.0), bootstrap=20)
+        assert est.mean == est.variance == est.se_mean == est.se_variance == 0.0
+        assert math.isnan(est.fano) and math.isnan(est.se_fano)
+
+    @pytest.mark.parametrize("u, mode", [(0.0, "up"), (0.7, "up"), (-1.3, "down"), (1.1, "total")])
+    def test_sampled_mean_matches_bivariate_normal(self, u, mode):
+        # n_steps (Phi(h) - Phi_2(h, h; rho)) per direction, with Phi_2 from
+        # scipy's bivariate normal CDF.
+        kernel = make_squared_exponential(1.5, 0.8)
+        cfg = SimConfig(system="kernel", kernel=kernel, T=4.0, dt=0.04, trials=2, u=u, mode=mode)
+        rho = kernel.eval(cfg.dt).r / kernel.r0
+        h = u / math.sqrt(kernel.r0)
+        pair = norm.cdf(h) - multivariate_normal.cdf(
+            [h, h], mean=[0.0, 0.0], cov=[[1.0, rho], [rho, 1.0]], abseps=1e-12, releps=1e-12)
+        expected = cfg.n_steps * pair * (2.0 if mode == "total" else 1.0)
+        assert sampled_mean_exact(cfg) == pytest.approx(expected, rel=1e-9)
+
+    def test_sampled_mean_needs_kernel_system(self):
+        with pytest.raises(SimulationConfigError):
+            sampled_mean_exact(sdho_config(trials=2))
+
+
+class TestGeneratorPool:
+    """Each thread keeps one pool of generators, re-keyed for every chunk."""
+
+    def test_threads_match_sequential(self):
+        # More threads than cores, each with two chunks of trials.
+        configs = [sdho_config(trials=300, T=10.0, seed=1),
+                   sdho_config(trials=300, T=10.0, seed=2, mode="total"),
+                   SimConfig(system="ou", params={"sigma": 1.0, "tau_f": 0.5, "tau_e": 1.0},
+                             T=10.0, dt=0.02, trials=300, seed=3, u=0.3),
+                   SimConfig(system="kernel", kernel=make_squared_exponential(1.0, 1.0),
+                             T=10.0, dt=0.02, trials=300, seed=4, u=0.3)]
+        alone = [repr(estimate_stats(cfg, bootstrap=20)) for cfg in configs]
+        together = [None] * len(configs)
+        start = threading.Barrier(len(configs), timeout=60)
+
+        def run(i):
+            start.wait()
+            together[i] = repr(estimate_stats(configs[i], bootstrap=20))
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(configs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch often, so that the chunks interleave
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert together == alone
+
+    def test_interleaved_iterators_match_each_alone(self):
+        sdho = sdho_config(trials=300, T=4.0, seed=5)
+        ou = SimConfig(system="ou", params={"sigma": 1.0, "tau_f": 0.5, "tau_e": 1.0},
+                       T=4.0, dt=0.02, trials=300, seed=6)
+        se = make_squared_exponential(1.0, 1.0)
+        kern = SimConfig(system="kernel", kernel=se, T=4.0, dt=0.02, trials=300, seed=7)
+
+        def iterators():
+            return (simulate_sdho_paths(sdho), simulate_ou_system_paths(ou),
+                    simulate_kernel_paths(se, kern))
+
+        alone = [np.stack(list(it)) for it in iterators()]
+        together = [[], [], []]
+        for paths in zip(*iterators()):
+            for got, path in zip(together, paths):
+                got.append(path)
+        for got, want in zip(together, alone):
+            assert np.array_equal(np.stack(got), want)
+
+    def test_second_call_builds_no_generator(self, monkeypatch):
+        built = []
+        philox = np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(None)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        per_call = []
+
+        def run():  # a fresh thread, whose pool is not built yet
+            for _ in range(2):
+                before = len(built)
+                list(simulate_sdho_paths(sdho_config(trials=8, T=2.0)))
+                per_call.append(len(built) - before)
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert per_call == [_CHUNK, 0]
 
 
 class TestCanonicalIntegrals:
