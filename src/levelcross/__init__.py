@@ -52,6 +52,7 @@ __version__ = "0.1.0"
 
 # Monte Carlo and oracle names, resolved from .montecarlo on first access.
 _MONTECARLO_NAMES = frozenset({
+    "LEMMA_CHECKS",
     "SimConfig",
     "SimEstimate",
     "SimulationConfigError",
@@ -61,9 +62,13 @@ _MONTECARLO_NAMES = frozenset({
     "bruteforce_variance",
     "count_crossings",
     "estimate_stats",
+    "lemma_residuals",
+    "sampled_mean_exact",
     "simulate_kernel_paths",
     "simulate_ou_system_paths",
     "simulate_sdho_paths",
+    "theorem_total_closed_form",
+    "theorem_up_closed_form",
 })
 
 __all__ = sorted(_MONTECARLO_NAMES | {

@@ -34,7 +34,7 @@ from . import crossings as cr
 from . import kernels as kn
 from .quadrature import IntegrationError, QuadratureSpec
 
-__all__ = ["main", "cmd_stats", "cmd_sweep", "cmd_simulate", "cmd_verify", "SweepSpec"]
+__all__ = ["main", "cmd_stats", "cmd_sweep", "cmd_simulate", "cmd_verify"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -265,54 +265,8 @@ def cmd_stats(args) -> int:
 
 # -- sweep --------------------------------------------------------------------
 
-class SweepSpec:
-    """A resolved sweep: kernel family, fixed params, 1-2 axes, quantities."""
-
-    def __init__(self, family, fixed, axes, quantities, mode, spec, out, json_mirror):
-        if not 1 <= len(axes) <= 2:
-            raise UsageError("sweep needs 1 or 2 --axis options")
-        names = [a[0] for a in axes]
-        for name in names:
-            if names.count(name) > 1:
-                raise UsageError(f"axis {name!r} given more than once")
-        for name, lo, hi, points, scale in axes:
-            if points < 2:
-                raise UsageError(f"axis {name!r}: need at least 2 points")
-            if scale == "log" and (lo <= 0 or hi <= 0):
-                raise UsageError(f"axis {name!r}: log scale needs positive bounds")
-        valid = set(_FAMILY_PARAMS[family]) | {"u"}
-        for name, *_ in axes:
-            if name not in valid:
-                raise UsageError(f"axis {name!r} not a parameter of kernel {family!r}")
-        known = ("mean_rate", "var_rate", "fano")
-        if not quantities or len(set(quantities)) < len(quantities) or not set(quantities) <= set(known):
-            raise UsageError(f"--quantity {','.join(quantities)!r}: "
-                             f"name one or more of {', '.join(known)}, each once")
-        self.family = family
-        self.fixed = fixed
-        self.axes = axes
-        self.quantities = quantities
-        self.mode = mode
-        self.spec = spec
-        self.out = out
-        self.json_mirror = json_mirror
-
-    def grid(self) -> list[dict]:
-        """Row-major point list over the axes (first axis outermost)."""
-        axis_values = []
-        for name, lo, hi, points, scale in self.axes:
-            if scale == "log":
-                vals = np.geomspace(lo, hi, points)
-            else:
-                vals = np.linspace(lo, hi, points)
-            axis_values.append((name, [float(v) for v in vals]))
-        points = [{}]
-        for name, vals in axis_values:
-            points = [{**p, name: v} for p in points for v in vals]
-        return points
-
-
 def _parse_axis(text: str):
+    """One ``--axis`` option, checked in full: (name, lo, hi, points, scale)."""
     parts = text.split(":")
     if len(parts) not in (4, 5):
         raise UsageError(
@@ -329,7 +283,29 @@ def _parse_axis(text: str):
     scale = parts[4] if len(parts) == 5 else "lin"
     if scale not in ("lin", "log"):
         raise UsageError(f"bad --axis {text!r}: scale must be lin or log")
+    if points < 2:
+        raise UsageError(f"axis {name!r}: need at least 2 points")
+    if scale == "log" and (lo <= 0 or hi <= 0):
+        raise UsageError(f"axis {name!r}: log scale needs positive bounds")
     return (name, lo, hi, points, scale)
+
+
+def _grid(family: str, axes) -> list[dict]:
+    """The points of 1-2 parsed axes of a ``family`` sweep, row-major (first
+    axis outermost)."""
+    if not 1 <= len(axes) <= 2:
+        raise UsageError("sweep needs 1 or 2 --axis options")
+    names = [a[0] for a in axes]
+    for name in names:
+        if names.count(name) > 1:
+            raise UsageError(f"axis {name!r} given more than once")
+        if name != "u" and name not in _FAMILY_PARAMS[family]:
+            raise UsageError(f"axis {name!r} not a parameter of kernel {family!r}")
+    points = [{}]
+    for name, lo, hi, n, scale in axes:
+        values = (np.geomspace if scale == "log" else np.linspace)(lo, hi, n)
+        points = [{**p, name: float(v)} for p in points for v in values]
+    return points
 
 
 _POINT_ERRORS = (cr.ValidityError, cr.NegativeVarianceError, cr.DegenerateLagError,
@@ -395,18 +371,19 @@ def cmd_sweep(args) -> int:
     fixed = _merge(args, _SWEEP_DEFAULTS)
     _check_out(args.out)
     axes = [_parse_axis(a) for a in args.axis or []]
+    points = _grid(args.kernel, axes)
     quantities = [q.strip() for q in args.quantity.split(",") if q.strip()]
-    spec = SweepSpec(
-        args.kernel, fixed, axes, quantities, args.mode, _quad_spec(args),
-        args.out, args.json,
-    )
-    points = spec.grid()
+    known = ("mean_rate", "var_rate", "fano")
+    if not quantities or len(set(quantities)) < len(quantities) or not set(quantities) <= set(known):
+        raise UsageError(f"--quantity {','.join(quantities)!r}: "
+                         f"name one or more of {', '.join(known)}, each once")
+    spec = _quad_spec(args)
     # One task per distinct parameter set: its points' indices, in grid order.
     groups: dict[tuple, list[int]] = {}
     for i, pt in enumerate(points):
         groups.setdefault(tuple((k, v) for k, v in pt.items() if k != "u"), []).append(i)
-    tasks = [(spec.family, {**spec.fixed, **dict(key)}, [points[i].get("u", args.u) for i in indices],
-              spec.mode, tuple(quantities), spec.spec) for key, indices in groups.items()]
+    tasks = [(args.kernel, {**fixed, **dict(key)}, [points[i].get("u", args.u) for i in indices],
+              args.mode, tuple(quantities), spec) for key, indices in groups.items()]
     # A pool starts all its workers at once, so start no more than can be busy.
     workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
@@ -418,8 +395,8 @@ def cmd_sweep(args) -> int:
     by_index = dict(zip(itertools.chain(*groups.values()), itertools.chain(*grouped)))
     results = [by_index[i] for i in range(len(points))]
 
-    axis_names = [a[0] for a in spec.axes]
-    columns = axis_names + [q for q in quantities] + ["quad_error", "converged"]
+    axis_names = [a[0] for a in axes]
+    columns = axis_names + quantities + ["quad_error", "converged"]
     rows = [
         {**{n: pt[n] for n in axis_names}, **{c: res.get(c) for c in columns if c not in pt}}
         for pt, res in zip(points, results)
@@ -430,16 +407,16 @@ def cmd_sweep(args) -> int:
             where = ", ".join(f"{n}={_fmt(pt[n])}" for n in axis_names)
             sys.stderr.write(f"sweep row {where}: {res['error']}\n")
 
-    if spec.out.endswith(".json"):
-        _write(spec.out, _dumps(rows))
+    if args.out.endswith(".json"):
+        _write(args.out, _dumps(rows))
     else:
         csv_lines = [f"# {col} [{_UNITS.get(col, 'unknown')}]" for col in columns]
         csv_lines.append(",".join(columns))
         csv_lines += [",".join(_fmt(row[c]) for c in columns) for row in rows]
-        _write(spec.out, "\n".join(csv_lines) + "\n")
-        if spec.json_mirror:
-            _write(spec.out.rsplit(".", 1)[0] + ".json", _dumps(rows))
-    sys.stdout.write(f"wrote {len(rows)} rows to {spec.out}\n")
+        _write(args.out, "\n".join(csv_lines) + "\n")
+        if args.json:
+            _write(args.out.rsplit(".", 1)[0] + ".json", _dumps(rows))
+    sys.stdout.write(f"wrote {len(rows)} rows to {args.out}\n")
     return EXIT_NUMERIC if any_failed else EXIT_OK
 
 

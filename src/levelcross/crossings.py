@@ -517,6 +517,8 @@ def _integrand_zero(kernel: Kernel, t: float, total: bool) -> float:
 
 def mean_rate(kernel: Kernel, u: float, mode=CrossingMode.UP) -> float:
     """Expected crossings per unit time; depends only on r0 and q0."""
+    if math.isnan(u):
+        raise ValueError("level u must not be NaN")
     mode = _mode(mode)
     rate = (
         1.0 / (2.0 * math.pi)
@@ -528,8 +530,8 @@ def mean_rate(kernel: Kernel, u: float, mode=CrossingMode.UP) -> float:
 
 def mean_count(kernel: Kernel, u: float, T: float, mode=CrossingMode.UP) -> float:
     """Expected number of crossings in a window of length T."""
-    if T <= 0.0:
-        raise ValueError(f"horizon must be > 0 (got {T})")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"horizon must be finite and > 0 (got {T})")
     return T * mean_rate(kernel, u, mode)
 
 

@@ -93,7 +93,11 @@ class Kernel(ABC):
     tau_fast: float
     shape: dict
 
-    def __init__(self):
+    def __init__(self, **params):
+        for name, value in params.items():
+            if not math.isfinite(value):
+                raise KernelError(f"{name} must be finite (got {value})")
+        self.params = params
         # Crossing-statistics caches, declared so filling them keeps the instance compact.
         self._abg_poly_cache = None
         self._gate_cache = None
@@ -190,12 +194,11 @@ class SdhoKernel(Kernel):
     family = "sdho"
 
     def __init__(self, omega0: float, zeta: float, theta: float):
-        super().__init__()
+        super().__init__(omega0=omega0, zeta=zeta, theta=theta)
         if omega0 <= 0 or theta <= 0:
             raise KernelError("omega0 and theta must be > 0")
         if zeta <= 0:
             raise KernelError("zeta must be > 0 (undamped process never decorrelates)")
-        self.params = {"omega0": omega0, "zeta": zeta, "theta": theta}
         self.omega0 = omega0
         self.zeta = zeta
         self.theta = theta
@@ -277,10 +280,9 @@ class OuMeanRevertKernel(Kernel):
     family = "ou_mean_revert"
 
     def __init__(self, sigma: float, tau_f: float, tau_e: float):
-        super().__init__()
+        super().__init__(sigma=sigma, tau_f=tau_f, tau_e=tau_e)
         if sigma <= 0 or tau_f <= 0 or tau_e <= 0:
             raise KernelError("sigma, tau_f, tau_e must be > 0")
-        self.params = {"sigma": sigma, "tau_f": tau_f, "tau_e": tau_e}
         self.sigma = sigma
         self.tau_f = tau_f
         self.tau_e = tau_e
@@ -336,10 +338,9 @@ class RationalQuadraticKernel(Kernel):
     family = "rational_quadratic"
 
     def __init__(self, sigma: float, tau: float, alpha_shape: float):
-        super().__init__()
+        super().__init__(sigma=sigma, tau=tau, alpha_shape=alpha_shape)
         if sigma <= 0 or tau <= 0 or alpha_shape <= 0:
             raise KernelError("sigma, tau, alpha_shape must be > 0")
-        self.params = {"sigma": sigma, "tau": tau, "alpha_shape": alpha_shape}
         self.sigma = sigma
         self.tau = tau
         self.alpha_shape = alpha_shape
@@ -383,10 +384,9 @@ class SquaredExponentialKernel(Kernel):
     family = "squared_exponential"
 
     def __init__(self, sigma: float, tau: float):
-        super().__init__()
+        super().__init__(sigma=sigma, tau=tau)
         if sigma <= 0 or tau <= 0:
             raise KernelError("sigma, tau must be > 0")
-        self.params = {"sigma": sigma, "tau": tau}
         self.sigma = sigma
         self.tau = tau
         self.r0 = sigma * sigma

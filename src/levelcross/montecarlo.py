@@ -45,7 +45,7 @@ from scipy.linalg import expm, solve_lyapunov
 from scipy.special import erfcx as _erfcx
 
 from .crossings import CrossingMode, DegenerateLagError, _bracket, _mode
-from .kernels import Kernel
+from .kernels import Kernel, KernelError, make_ou_mean_revert, make_sdho
 from .special import erf, erfc, owens_t
 
 __all__ = [
@@ -90,26 +90,28 @@ class SimConfig:
     mode: CrossingMode = CrossingMode.UP
 
     def __post_init__(self):
-        if self.dt <= 0.0 or self.T <= 0.0:
-            raise SimulationConfigError("T and dt must be > 0")
+        if not (0.0 < self.T < math.inf and 0.0 < self.dt < math.inf):
+            raise SimulationConfigError(
+                f"T and dt must be finite and > 0 (got T={self.T}, dt={self.dt})")
         if self.trials < 2:
             raise SimulationConfigError("need at least 2 trials")
-        tau_fast = self._tau_fast()
-        if self.dt > 0.05 * tau_fast:
-            raise SimulationConfigError(
-                f"dt={self.dt} too coarse: must be <= 0.05 * tau_fast = {0.05 * tau_fast}"
-            )
-
-    def _tau_fast(self) -> float:
-        if self.system == "sdho":
-            return 1.0 / self.params["omega0"]
-        if self.system == "ou":
-            return min(self.params["tau_f"], self.params["tau_e"])
         if self.system == "kernel":
             if self.kernel is None:
                 raise SimulationConfigError("system='kernel' requires a kernel")
-            return self.kernel.tau_fast
-        raise SimulationConfigError(f"unknown system {self.system!r}")
+            kernel = self.kernel
+        elif self.system in ("sdho", "ou"):
+            # The system's own kernel checks its parameters.
+            make = make_sdho if self.system == "sdho" else make_ou_mean_revert
+            try:
+                kernel = make(**self.params)
+            except (KernelError, TypeError) as exc:
+                raise SimulationConfigError(f"{self.system} params: {exc}") from exc
+        else:
+            raise SimulationConfigError(f"unknown system {self.system!r}")
+        if self.dt > 0.05 * kernel.tau_fast:
+            raise SimulationConfigError(
+                f"dt={self.dt} too coarse: must be <= 0.05 * tau_fast = {0.05 * kernel.tau_fast}"
+            )
 
     @property
     def n_steps(self) -> int:
@@ -218,8 +220,6 @@ def _linear_system(config: SimConfig):
         w = config.params["omega0"]
         z = config.params["zeta"]
         th = config.params["theta"]
-        if w <= 0 or th <= 0 or z <= 0:
-            raise SimulationConfigError("omega0, zeta, theta must be > 0")
         drift = np.array([[0.0, 1.0], [-w * w, -2.0 * z * w]])
         noise2 = 4.0 * z * w * th
         diffusion = np.array([[0.0, 0.0], [0.0, noise2]])
@@ -229,8 +229,6 @@ def _linear_system(config: SimConfig):
         sig = config.params["sigma"]
         tf = config.params["tau_f"]
         te = config.params["tau_e"]
-        if sig <= 0 or tf <= 0 or te <= 0:
-            raise SimulationConfigError("sigma, tau_f, tau_e must be > 0")
         drift = np.array([[-1.0 / tf, 0.0], [1.0 / te, -1.0 / te]])
         diffusion = np.array([[2.0 * sig * sig / tf, 0.0], [0.0, 0.0]])
         stationary = solve_lyapunov(drift, -diffusion)

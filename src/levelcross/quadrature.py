@@ -52,6 +52,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -89,10 +90,12 @@ class QuadratureSpec:
     max_subdivisions: int = 2000
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be > 0")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+        for name in ("rel_tol", "abs_tol"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0 (got {getattr(self, name)})")
+        if not isinstance(self.max_subdivisions, numbers.Integral) or self.max_subdivisions < 1:
+            raise ValueError(
+                f"max_subdivisions must be an integer >= 1 (got {self.max_subdivisions!r})")
 
 
 @dataclass(frozen=True)
@@ -294,9 +297,13 @@ def integrate_finite(
 _TAIL_BREAKS = tuple(m / (m + 4.0) for m in (0.5, 2.0, 8.0, 32.0))
 
 
-def _x_open(length: float, open_left: float | None) -> float | None:
-    """The open-left offset of the tail map in x units: x_off = off/(L + off)."""
-    return None if open_left is None else open_left / (length + open_left)
+def _tail_map(scale: float, open_left: float | None) -> tuple[float, float | None]:
+    """The tail map's L = 4 scale, and the open-left offset in x units:
+    x_off = off/(L + off)."""
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"scale must be finite and > 0 (got {scale})")
+    length = 4.0 * scale
+    return length, None if open_left is None else open_left / (length + open_left)
 
 
 def integrate_semi_infinite(
@@ -310,7 +317,7 @@ def integrate_semi_infinite(
     segments are seeded at t = lo + m scale, m in {0.5, 2, 8, 32}.
     ``open_left`` is an offset in t, as for ``integrate_finite``.
     """
-    length = 4.0 * scale
+    length, x_off = _tail_map(scale, open_left)
 
     def g(xs: list[float]) -> list[float]:
         one_minus = [1.0 - x for x in xs]
@@ -318,8 +325,7 @@ def integrate_semi_infinite(
         values = iter(f([lo + length * x / m for x, m in zip(xs, one_minus) if m > 0.0]))
         return [next(values) * length / (m * m) if m > 0.0 else 0.0 for m in one_minus]
 
-    return _drive(g, _quadrature(0.0, 1.0, spec or QuadratureSpec(), _TAIL_BREAKS,
-                                 _x_open(length, open_left)))
+    return _drive(g, _quadrature(0.0, 1.0, spec or QuadratureSpec(), _TAIL_BREAKS, x_off))
 
 
 # A row's first round also evaluates this many halvings of the open-left stub,
@@ -345,8 +351,7 @@ def integrate_semi_infinite_rows(
     A non-finite value anywhere in a round raises ``IntegrationError``, even
     where no row would have asked for it.
     """
-    length = 4.0 * scale
-    x_off = _x_open(length, open_left)
+    length, x_off = _tail_map(scale, open_left)
     spec = spec or QuadratureSpec()
     quadratures = [_quadrature(0.0, 1.0, spec, _TAIL_BREAKS, x_off) for _ in range(rows)]
     requests = [next(q) for q in quadratures]

@@ -10,17 +10,17 @@ It records ``float.hex`` of mean, variance and quad_error, with the
 converged flag and the evaluation count, so ``tests/test_stats_golden.py``
 fails on any change in any bit.  A change that moves values on purpose
 regenerates this file and reports the drift.  ``--check`` writes nothing:
-it computes every case again, prints the first one that differs from this
-file and exits 1 (0 if every case matches).
+it computes every case again, lists every one that differs from this file
+and exits 1 (0 if every case matches).
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import sys
 
+import _golden
 from levelcross import crossings as cr
 from levelcross import kernels as kn
 
@@ -72,35 +72,5 @@ def compute() -> list[dict]:
     return cases
 
 
-def check(cases: list[dict]) -> int:
-    """Compare computed cases with the fixture's; print the first that
-    differs and return 1, or 0 if all match."""
-    with open(GOLDEN) as fh:
-        expected = json.load(fh)["cases"]
-    for got, want in zip(cases, expected):
-        if got != want:
-            sys.stdout.write(f"differs: {want['case']}\n")
-            return 1
-    if len(cases) != len(expected):
-        sys.stdout.write(f"differs: {len(cases)} cases against {len(expected)} in the fixture\n")
-        return 1
-    sys.stdout.write(f"all {len(cases)} cases match {GOLDEN}\n")
-    return 0
-
-
-def main(argv: list[str]) -> int:
-    if argv not in ([], ["--check"]):
-        sys.stderr.write("usage: make_stats_golden.py [--check]\n")
-        return 2
-    cases = compute()
-    if argv:
-        return check(cases)
-    with open(GOLDEN, "w") as fh:
-        json.dump({"cases": cases}, fh, indent=1)
-        fh.write("\n")
-    sys.stdout.write(f"wrote {len(cases)} cases to {GOLDEN}\n")
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(_golden.main(sys.argv[1:], GOLDEN, compute, lambda case: case["case"]))

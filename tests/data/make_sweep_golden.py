@@ -7,19 +7,19 @@ exit code and the CSV file it writes.  ``tests/test_sweep_golden.py`` runs
 every case again and compares the bytes, so any change in a sweep value,
 however small, fails loudly.  A change that moves values on purpose
 regenerates this file and reports the drift.  ``--check`` writes nothing:
-it runs every case again, prints the first one that differs from this file
-and exits 1 (0 if every case matches).
+it runs every case again, lists every one that differs from this file and
+exits 1 (0 if every case matches).
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
-import json
 import os
 import sys
 import tempfile
 
+import _golden
 from levelcross.cli import main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -57,36 +57,11 @@ def run_case(argv: list[str], directory: str) -> dict:
         return {"argv": argv, "exit": code, "csv": fh.read()}
 
 
-def main_(argv: list[str]) -> int:
-    if argv not in ([], ["--check"]):
-        sys.stderr.write("usage: make_sweep_golden.py [--check]\n")
-        return 2
+def compute() -> list[dict]:
+    """Every case, run in a scratch directory."""
     with tempfile.TemporaryDirectory() as directory:
-        cases = [run_case(case, directory) for case in CASES]
-    if argv:
-        return check(cases)
-    with open(GOLDEN, "w") as fh:
-        json.dump({"cases": cases}, fh, indent=1)
-        fh.write("\n")
-    sys.stdout.write(f"wrote {len(cases)} cases to {GOLDEN}\n")
-    return 0
-
-
-def check(cases: list[dict]) -> int:
-    """Compare regenerated cases with the fixture's; print the first that
-    differs and return 1, or 0 if all match."""
-    with open(GOLDEN) as fh:
-        expected = json.load(fh)["cases"]
-    for got, want in zip(cases, expected):
-        if got != want:
-            sys.stdout.write(f"differs: {' '.join(want['argv'])}\n")
-            return 1
-    if len(cases) != len(expected):
-        sys.stdout.write(f"differs: {len(cases)} cases against {len(expected)} in the fixture\n")
-        return 1
-    sys.stdout.write(f"all {len(cases)} cases match {GOLDEN}\n")
-    return 0
+        return [run_case(case, directory) for case in CASES]
 
 
 if __name__ == "__main__":
-    sys.exit(main_(sys.argv[1:]))
+    sys.exit(_golden.main(sys.argv[1:], GOLDEN, compute, lambda case: " ".join(case["argv"])))

@@ -15,8 +15,8 @@ from levelcross.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
-    SweepSpec,
     UsageError,
+    _grid,
     _parse_axis,
     main,
 )
@@ -155,6 +155,25 @@ class TestUsageErrors:
                            "--axis", "u:0:1:2", "--out", str(out))
         assert code == EXIT_USAGE
         assert err == "usage error: axis 'u' given more than once\n"
+        assert not out.exists()
+
+    AXIS_ERRORS = [
+        (["--axis", "u:0:1:2", "--axis", "zeta:1:2:2", "--axis", "theta:1:2:2"],
+         "sweep needs 1 or 2 --axis options"),
+        (["--axis", "u:0:1:1"], "axis 'u': need at least 2 points"),
+        (["--axis", "zeta:-1:1:3:log"], "axis 'zeta': log scale needs positive bounds"),
+        (["--axis", "tau:1:2:2"], "axis 'tau' not a parameter of kernel 'sdho'"),
+        (["--axis", "u:a:1:2"], "bad --axis 'u:a:1:2': could not convert string to float: 'a'"),
+    ]
+
+    @pytest.mark.parametrize("axes, message", AXIS_ERRORS,
+                             ids=["three-axes", "one-point", "log-nonpositive", "foreign-axis",
+                                  "bad-number"])
+    def test_bad_axis_set_is_usage_error(self, capsys, tmp_path, axes, message):
+        out = tmp_path / "sweep.csv"
+        code, text, err = run(capsys, "sweep", "--kernel", "sdho", *axes, "--out", str(out))
+        assert (code, text) == (EXIT_USAGE, "")
+        assert err == f"usage error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("quantity", ["", "fano,fano", "fano,speed"])
@@ -390,10 +409,7 @@ class TestSweep:
         assert started == pools
 
     def test_grid_row_major(self):
-        spec = SweepSpec("se", {}, [("u", 0.0, 1.0, 2, "lin"),
-                                    ("tau", 1.0, 2.0, 2, "lin")],
-                         ["mean_rate"], "up", None, "x.csv", False)
-        pts = spec.grid()
+        pts = _grid("se", [("u", 0.0, 1.0, 2, "lin"), ("tau", 1.0, 2.0, 2, "lin")])
         assert [p["u"] for p in pts] == [0.0, 0.0, 1.0, 1.0]
         assert [p["tau"] for p in pts] == [1.0, 2.0, 1.0, 2.0]
 

@@ -514,6 +514,20 @@ class TestVariance:
         with pytest.raises(ValueError):
             mean_count(SDHO, 0.5, -1.0)
 
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf])
+    def test_rejects_nonfinite_horizon(self, horizon):
+        for call in (lambda: variance_count(SDHO, 0.5, horizon),
+                     lambda: zero_level_stats(SDHO, horizon)):
+            with pytest.raises(ValueError, match=r"^horizon must be finite and > 0"):
+                call()
+
+    def test_rejects_nan_level(self):
+        for call in (lambda: mean_rate(SDHO, math.nan),
+                     lambda: variance_rate_asymptotic(SDHO, math.nan),
+                     lambda: variance_rate_asymptotic(SDHO, [0.5, math.nan])):
+            with pytest.raises(ValueError, match="^level u must not be NaN$"):
+                call()
+
 
 class TestAssemble:
     """mean + 2 int I below 0: within 10x the quadrature error it is clamped

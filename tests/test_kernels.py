@@ -137,6 +137,17 @@ class TestValidation:
         with pytest.raises(KernelError):
             bad()
 
+    @pytest.mark.parametrize("make, args, name", [
+        (make_sdho, (math.nan, 1.0, 1.0), "omega0"),
+        (make_sdho, (1.0, math.inf, 1.0), "zeta"),
+        (make_ou_mean_revert, (1.0, 0.5, -math.inf), "tau_e"),
+        (make_rational_quadratic, (1.0, 1.0, math.nan), "alpha_shape"),
+        (make_squared_exponential, (math.inf, 1.0), "sigma"),
+    ])
+    def test_nonfinite_params_raise(self, make, args, name):
+        with pytest.raises(KernelError, match=f"^{name} must be finite"):
+            make(*args)
+
     def test_negative_lag_raises(self):
         with pytest.raises(KernelError):
             make_squared_exponential(1.0, 1.0).eval(-0.1)

@@ -67,6 +67,28 @@ class TestConfigValidation:
         with pytest.raises(SimulationConfigError):
             SimConfig(system="kernel", kernel=None, dt=1e-3)
 
+    @pytest.mark.parametrize("params, message", [
+        ({"omega0": 0.0, "zeta": 1.0, "theta": 1.0}, "omega0 and theta must be > 0"),
+        ({"omega0": -1.0, "zeta": 1.0, "theta": 1.0}, "omega0 and theta must be > 0"),
+        ({"omega0": 1.0, "zeta": math.nan, "theta": 1.0}, "zeta must be finite"),
+        ({"omega0": 1.0, "theta": 1.0}, "'zeta'"),
+    ])
+    def test_linear_system_params_checked_by_its_kernel(self, params, message):
+        with pytest.raises(SimulationConfigError, match=message):
+            sdho_config(params=params)
+
+    def test_ou_params_checked_by_its_kernel(self):
+        with pytest.raises(SimulationConfigError, match="sigma, tau_f, tau_e must be > 0"):
+            SimConfig(system="ou", params={"sigma": 1.0, "tau_f": 0.0, "tau_e": 1.0}, dt=1e-3)
+        with pytest.raises(SimulationConfigError, match="'zeta'"):
+            SimConfig(system="ou", params={"sigma": 1.0, "tau_f": 0.5, "tau_e": 1.0, "zeta": 2.0},
+                      dt=1e-3)
+
+    @pytest.mark.parametrize("window", [{"dt": math.nan}, {"T": math.inf}, {"T": math.nan}])
+    def test_nonfinite_window_rejected(self, window):
+        with pytest.raises(SimulationConfigError, match="must be finite"):
+            sdho_config(**window)
+
     def test_steps_round_trip(self):
         assert sdho_config(T=30.0, dt=0.02).n_steps == 1500
 

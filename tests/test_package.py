@@ -34,6 +34,8 @@ print(json.dumps({
     "star_missing": sorted(set(levelcross.__all__) - set(star)),
     "same_objects": all(star[n] is getattr(levelcross, n) for n in levelcross.__all__),
     "sim_config": levelcross.SimConfig is levelcross.montecarlo.SimConfig,
+    "montecarlo_names": sorted(set(levelcross.montecarlo.__all__)
+                               ^ levelcross._MONTECARLO_NAMES),
 }))
 """
 
@@ -48,6 +50,7 @@ def test_import_leaves_monte_carlo_unloaded_until_used():
     assert probe["star_missing"] == []
     assert probe["same_objects"] is True
     assert probe["sim_config"] is True
+    assert probe["montecarlo_names"] == []
 
 
 def test_python_dash_m_runs_the_cli():

@@ -64,6 +64,30 @@ class TestFinite:
         assert fine.error < coarse.error
         assert fine.converged
 
+    def test_stops_at_floating_point_resolution(self):
+        # A unit step 3 ulp into [1, 1 + 8 ulp] cannot meet a 1e-300
+        # tolerance: once every panel is too narrow to bisect, the loop
+        # stops, far below the subdivision cap, and reports no convergence.
+        ulp = math.ulp(1.0)
+        step = pointwise(lambda t: 1.0 if t >= 1.0 + 3.0 * ulp else 0.0)
+        r = integrate_finite(step, 1.0, 1.0 + 8.0 * ulp, QuadratureSpec(rel_tol=1e-300, abs_tol=1e-300))
+        assert not r.converged
+        assert r.evaluations == 195
+        assert r.value == pytest.approx(5.0 * ulp, rel=1e-15)
+
+
+class TestSpec:
+    @pytest.mark.parametrize("fields, name", [
+        ({"rel_tol": math.nan}, "rel_tol"),
+        ({"rel_tol": 0.0}, "rel_tol"),
+        ({"abs_tol": math.inf}, "abs_tol"),
+        ({"max_subdivisions": 2.5}, "max_subdivisions"),
+        ({"max_subdivisions": 0}, "max_subdivisions"),
+    ])
+    def test_bad_field_named(self, fields, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            QuadratureSpec(**fields)
+
 
 class TestSemiInfinite:
     def test_exponential(self):
@@ -82,6 +106,13 @@ class TestSemiInfinite:
     def test_tail_scale_respected(self):
         r = integrate_semi_infinite(pointwise(lambda t: math.exp(-t / 10.0)), 0.0, scale=10.0)
         assert r.value == pytest.approx(10.0, rel=1e-10)
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_scale_raises(self, scale):
+        with pytest.raises(ValueError, match=r"^scale must be finite and > 0"):
+            integrate_semi_infinite(pointwise(lambda t: 1.0), 0.0, scale=scale)
+        with pytest.raises(ValueError, match=r"^scale must be finite and > 0"):
+            integrate_semi_infinite_rows(lambda ts: np.ones((1, len(ts))), 1, 0.0, scale=scale)
 
     def test_power_law_tail_converges(self):
         # A t^-3.5 tail is integrated to the end by the same map as an
