@@ -275,9 +275,13 @@ def _parse_axis(text: str):
     name = parts[0].replace("-", "_")
     try:
         lo, hi = float(parts[1]), float(parts[2])
-        points = int(parts[3])
     except ValueError as exc:
         raise UsageError(f"bad --axis {text!r}: {exc}") from exc
+    try:
+        points = int(parts[3])
+    except ValueError as exc:
+        raise UsageError(
+            f"bad --axis {text!r}: points must be an integer (got {parts[3]!r})") from exc
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise UsageError(f"bad --axis {text!r}: bounds must be finite")
     scale = parts[4] if len(parts) == 5 else "lin"

@@ -10,12 +10,15 @@ Independent oracles for the closed-form crossing statistics:
   reproducible per-trial substream RNG scheme.  Each thread keeps one pool
   of generators for its whole life and re-keys it to the trials of every
   chunk, so no call builds generators after the thread's first (see
-  _trial_rngs for why iterators may share it).  The linear systems step
-  each chunk's states with one BLAS product into a reused buffer.  The
-  circulant sampler transforms its trials in groups, one FFT pair a group
-  rather than a trial; a group is bounded by its number of samples, not of
-  trials, so that a long embedding ring does not allocate many rings at
-  once;
+  _trial_rngs for why iterators may share it).  The linear systems make
+  each chunk's paths one time block at a time, stepping the states with
+  one BLAS product into reused buffers.  estimate_stats screens each block
+  for crossings as it is made, so its memory does not grow with the
+  horizon, but for the end states of the few steps kept for bridge
+  refinement.  The circulant sampler transforms its trials in groups, one
+  FFT pair a group rather than a trial; a group is bounded by its number
+  of samples, not of trials, so that a long embedding ring does not
+  allocate many rings at once;
 * crossing counts: for the two linear systems, of the continuous-time path,
   by exact Gaussian-bridge refinement of every step that could hide a
   crossing; for arbitrary kernels, of sign changes between samples, which
@@ -35,6 +38,7 @@ relative precision.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -93,8 +97,13 @@ class SimConfig:
         if not (0.0 < self.T < math.inf and 0.0 < self.dt < math.inf):
             raise SimulationConfigError(
                 f"T and dt must be finite and > 0 (got T={self.T}, dt={self.dt})")
-        if self.trials < 2:
-            raise SimulationConfigError("need at least 2 trials")
+        if self.n_steps < 1:
+            raise SimulationConfigError(f"T={self.T} holds no step of dt={self.dt}")
+        for name, least in (("trials", 2), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise SimulationConfigError(
+                    f"{name} must be an integer >= {least} (got {value!r})")
         if self.system == "kernel":
             if self.kernel is None:
                 raise SimulationConfigError("system='kernel' requires a kernel")
@@ -202,9 +211,9 @@ def _trial_rngs(config: SimConfig) -> Iterator[tuple[int, list[np.random.Generat
     re-keyed for each chunk, so every iterator of the thread shares them.
     That is safe because no pool generator is used across a yield to the
     caller of a public iterator: a chunk draws all its paths between its
-    re-keying and its yield.  The one exception is _trial_counts, whose
-    bridge draws from a chunk's rngs before asking for the next chunk,
-    within one call.
+    re-keying and its first path's yield.  The one exception is
+    _trial_counts, whose time blocks and bridge draw from a chunk's rngs
+    before asking for the next chunk, within one call.
     """
     for start in range(0, config.trials, _CHUNK):
         keys = _trial_keys(config.seed, start, min(start + _CHUNK, config.trials))
@@ -262,44 +271,66 @@ def _transition(config: SimConfig):
 
 
 _TRANSPOSE_STEPS = 32
+# Most steps in one time block of _linear_chunks, a multiple of
+# _TRANSPOSE_STEPS: at a full chunk, each of the two block buffers holds
+# 2 MB however long the horizon.
+_BLOCK_STEPS = 512
 
 
 def _linear_chunks(config: SimConfig):
-    """Yield (first_trial_index, states, rngs), one chunk of trials at a time.
+    """Yield (first_trial_index, rngs, blocks), one chunk of trials at a time.
 
-    states has shape (n_steps+1, 2, chunk): the whole state at every sample.
-    Each step adds prop @ state to the step's noise, computed by np.dot into
-    one (2, chunk) buffer: the same dgemm as the @ operator, so the same
-    bits, without a new array per step.  rngs are the chunk's per-trial
-    generators from _trial_rngs, left just after the draws that made the
-    paths, so any later draw for a trial comes from that trial's own stream
-    whatever the chunking.  The next chunk overwrites both, and so may any
-    other pool user of the thread, so use them before asking for it.
+    blocks yields the chunk's states one time block at a time, each of shape
+    (k+1, 2, chunk): the state at the sample before the block's k steps (for
+    the first block, the initial state), then after each of them.  So every
+    step of the path lies in exactly one block, and a block holds at most
+    _BLOCK_STEPS steps.  For each block, every trial draws the block's
+    normals from its own stream; a Philox stream continues across calls, so
+    these are the bits of one draw of the whole path.  Each step adds prop @
+    state to the step's noise, computed by np.dot into one (2, chunk)
+    buffer: the same dgemm as the @ operator, so the same bits, without a
+    new array per step.  rngs are the chunk's per-trial generators from
+    _trial_rngs; once blocks is exhausted they are left just after the
+    draws that made the paths, so any later draw for a trial comes from that
+    trial's own stream whatever the chunking.  A block is overwritten by the
+    next, and the next chunk (or any other pool user of the thread) re-keys
+    rngs, so exhaust blocks and use rngs before asking for the next chunk.
     """
     prop, chol_cond, chol_station = _transition(config)
     n = config.n_steps
-    # One buffer each for the whole run: allocating a smaller last chunk
-    # afresh leaves the allocator holding tens of MB once the run is over.
-    size = 2 * (n + 1) * min(_CHUNK, config.trials)
+    span = min(_BLOCK_STEPS, n)
+    # One buffer each for the whole run; a narrower last chunk takes a prefix.
+    size = 2 * (span + 1) * min(_CHUNK, config.trials)
     noise_buf, state_buf = np.empty(size), np.empty(size)
-    for start, rngs in _trial_rngs(config):
+
+    def blocks(rngs):
         width = len(rngs)
-        noise = noise_buf[:2 * (n + 1) * width].reshape(width, n + 1, 2)
-        for j, rng in enumerate(rngs):
-            rng.standard_normal(out=noise[j])
-        states = state_buf[:noise.size].reshape(n + 1, 2, width)
+        noise = noise_buf[:2 * (span + 1) * width].reshape(width, span + 1, 2)
+        states = state_buf[:noise.size].reshape(span + 1, 2, width)
         step = np.empty((2, width))
-        states[0] = chol_station @ noise[:, 0, :].T
-        # Step noise, transposed into place a few steps at a time: one
-        # whole-block transpose runs several times slower, out of cache.
-        for i in range(1, n + 1, _TRANSPOSE_STEPS):
-            block = noise[:, i:i + _TRANSPOSE_STEPS].transpose(2, 1, 0).reshape(2, -1)
-            states[i:i + _TRANSPOSE_STEPS] = (
-                (chol_cond @ block).reshape(2, -1, width).transpose(1, 0, 2))
-        for cur, nxt in zip(states[:-1], states[1:]):
-            np.dot(prop, cur, out=step)
-            nxt += step
-        yield start, states, rngs
+        # Blocks start at steps 1 + j * span, and span is a multiple of
+        # _TRANSPOSE_STEPS unless there is one block, so every transpose
+        # below covers the steps it would on the whole path.
+        for first in range(1, n + 1, span):
+            k = min(span, n + 1 - first)
+            z, s = noise[:, :k + 1], states[:k + 1]
+            head = 0 if first == 1 else 1
+            for row, rng in zip(z, rngs):
+                rng.standard_normal(out=row[head:])
+            s[0] = chol_station @ z[:, 0, :].T if first == 1 else states[span]
+            # Step noise, transposed into place a few steps at a time: one
+            # whole-block transpose runs several times slower, out of cache.
+            for i in range(1, k + 1, _TRANSPOSE_STEPS):
+                block = z[:, i:i + _TRANSPOSE_STEPS].transpose(2, 1, 0).reshape(2, -1)
+                s[i:i + _TRANSPOSE_STEPS] = (
+                    (chol_cond @ block).reshape(2, -1, width).transpose(1, 0, 2))
+            for cur, nxt in zip(s[:-1], s[1:]):
+                np.dot(prop, cur, out=step)
+                nxt += step
+            yield s
+
+    for start, rngs in _trial_rngs(config):
+        yield start, rngs, blocks(rngs)
 
 
 def _paths_from_blocks(blocks) -> Iterator[np.ndarray]:
@@ -312,23 +343,36 @@ def _paths_from_blocks(blocks) -> Iterator[np.ndarray]:
 _OBSERVED = {"sdho": 0, "ou": 1}
 
 
-def _linear_paths(config: SimConfig) -> Iterator[np.ndarray]:
+def _observed_blocks(config: SimConfig) -> Iterator[np.ndarray]:
+    """Each chunk's observed coordinate, of shape (n_steps+1, chunk).
+
+    Every block of a chunk is drawn before the chunk is yielded: another
+    iterator of the thread may re-key the pool between yields.
+    """
     row = _OBSERVED[config.system]
-    return _paths_from_blocks(states[:, row] for _, states, _ in _linear_chunks(config))
+    n = config.n_steps
+    buf = np.empty((n + 1) * min(_CHUNK, config.trials))
+    for _, rngs, blocks in _linear_chunks(config):
+        x = buf[:(n + 1) * len(rngs)].reshape(n + 1, len(rngs))
+        at = 0
+        for states in blocks:
+            x[at:at + len(states)] = states[:, row]
+            at += len(states) - 1
+        yield x
 
 
 def simulate_sdho_paths(config: SimConfig) -> Iterator[np.ndarray]:
     """Stationary oscillator position paths via the exact Gaussian transition."""
     if config.system != "sdho":
         raise SimulationConfigError("config.system must be 'sdho'")
-    return _linear_paths(config)
+    return _paths_from_blocks(_observed_blocks(config))
 
 
 def simulate_ou_system_paths(config: SimConfig) -> Iterator[np.ndarray]:
     """Stationary mean-reverting observable paths (the y component)."""
     if config.system != "ou":
         raise SimulationConfigError("config.system must be 'ou'")
-    return _linear_paths(config)
+    return _paths_from_blocks(_observed_blocks(config))
 
 
 def _circulant_spectrum(kernel: Kernel, n: int, dt: float) -> np.ndarray:
@@ -496,34 +540,62 @@ class _Bridge:
         return ((lo > u + level.margin) | (hi < u - level.margin)
                 | (d_lo > level.slope_margin) | (d_hi < -level.slope_margin))
 
-    def counts(self, states: np.ndarray, rngs, u: float, mode: CrossingMode) -> np.ndarray:
-        """Per-trial crossing counts of one chunk from _linear_chunks."""
+    def _unsettled(self, trial: np.ndarray, ends: np.ndarray, level: _BridgeLevel,
+                   u: float) -> tuple[np.ndarray, np.ndarray]:
+        """The intervals of (trial, ends) that _settled leaves to refine."""
+        keep = ~self._settled(ends, level, u)
+        return trial.compress(keep), ends.compress(keep, axis=1)
+
+    def _screen(self, states: np.ndarray, u: float, mode: CrossingMode):
+        """(counts, trial, ends) of one block from _linear_chunks.
+
+        counts are each trial's crossings between the block's samples;
+        trial and ends are the steps left to refine, ordered by trial, then
+        time, with each step's start state over its end state in ends.  A
+        cheap screen comes first: a sample farther from u than `band`, the
+        first level's margin plus h/3 times the largest slope of any trial
+        at that time, puts its control point beyond that margin.  A step
+        with two such ends and no sign change is settled and holds no
+        crossing, so only the other steps are gathered, and _settled checks
+        those at the first level.
+        """
         x = states[:, self.row]
         below = x < u
-        # Cheap screen on the whole block: a sample farther from u than
-        # `band`, the first level's margin plus h/3 times the largest slope
-        # of any trial at that time, puts its control point beyond that
-        # margin.  A step with two such ends and no sign change is settled
-        # and holds no crossing, so only the other steps are gathered.
         first = self.levels[0]
-        slope_bound = sum(abs(c) * np.maximum(states[:, k].max(axis=1), -states[:, k].min(axis=1))
+        slope_bound = sum(abs(c) * np.abs(states[:, k]).max(axis=1)
                           for k, c in enumerate(self.slope[0]) if c != 0.0)
         band = (first.margin + first.h / 3.0 * slope_bound)[:, None]
         near = (x > u - band) & (x < u + band)
         candidates = near[:-1] | near[1:] | (below[:-1] != below[1:])
-        # Intervals are kept ordered by trial, then time, so that each
-        # trial's refinement draws come from its stream in a fixed order.
         n, _, width = states.shape
         trial, step = np.divmod(np.flatnonzero(candidates.T), n - 1)
-        # ends holds each interval's start state over its end state: in the
-        # flattened block they sit width apart from states[step, 0, trial].
+        # In the flattened block a step's four end coordinates sit width
+        # apart from states[step, 0, trial].
         at = step * (2 * width) + trial
         ends = states.reshape(-1)[at + width * np.arange(4)[:, None]]
         sampled = _crossed(ends[self.row] < u, ends[2 + self.row] < u, mode)
         counts = np.bincount(trial, weights=sampled, minlength=width).astype(np.int64)
-        for level in self.levels:
-            keep = ~self._settled(ends, level, u)
-            ends, trial = ends.compress(keep, axis=1), trial.compress(keep)
+        return (counts, *self._unsettled(trial, ends, first, u))
+
+    def counts(self, blocks, rngs, u: float, mode: CrossingMode) -> np.ndarray:
+        """Per-trial crossing counts of one chunk from _linear_chunks.
+
+        Each time block is screened as it is made (see _screen), so of a
+        block only the end states of the steps left to refine outlive it.
+        Those are then ordered by trial, then time, so that each trial's
+        refinement draws come from its stream in a fixed order, after all
+        of its path draws.
+        """
+        counts, trials, ends = zip(*(self._screen(states, u, mode) for states in blocks))
+        trial, ends = np.concatenate(trials), np.concatenate(ends, axis=1)
+        # A stable radix sort of the blocks' steps by trial (a chunk has
+        # fewer than 2**16 trials).
+        order = np.argsort(trial.astype(np.uint16), kind="stable")
+        counts, trial, ends = sum(counts), trial[order], ends[:, order]
+        width = len(rngs)
+        for depth, level in enumerate(self.levels):
+            if depth:
+                trial, ends = self._unsettled(trial, ends, level, u)
             if not trial.size:
                 break
             sizes = np.bincount(trial, minlength=width)
@@ -552,8 +624,8 @@ def _trial_counts(config: SimConfig, mode: CrossingMode) -> np.ndarray:
             counts[start:start + block.shape[1]] = np.count_nonzero(crossed, axis=0)
     else:
         bridge = _Bridge(config)
-        for start, states, rngs in _linear_chunks(config):
-            counts[start:start + len(rngs)] = bridge.counts(states, rngs, u, mode)
+        for start, rngs, blocks in _linear_chunks(config):
+            counts[start:start + len(rngs)] = bridge.counts(blocks, rngs, u, mode)
     return counts
 
 

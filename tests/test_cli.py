@@ -164,11 +164,12 @@ class TestUsageErrors:
         (["--axis", "zeta:-1:1:3:log"], "axis 'zeta': log scale needs positive bounds"),
         (["--axis", "tau:1:2:2"], "axis 'tau' not a parameter of kernel 'sdho'"),
         (["--axis", "u:a:1:2"], "bad --axis 'u:a:1:2': could not convert string to float: 'a'"),
+        (["--axis", "u:0:1:2.5"], "bad --axis 'u:0:1:2.5': points must be an integer (got '2.5')"),
     ]
 
     @pytest.mark.parametrize("axes, message", AXIS_ERRORS,
                              ids=["three-axes", "one-point", "log-nonpositive", "foreign-axis",
-                                  "bad-number"])
+                                  "bad-number", "fractional-points"])
     def test_bad_axis_set_is_usage_error(self, capsys, tmp_path, axes, message):
         out = tmp_path / "sweep.csv"
         code, text, err = run(capsys, "sweep", "--kernel", "sdho", *axes, "--out", str(out))

@@ -8,12 +8,14 @@ parts are checked at a few standard errors with fixed seeds.
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy.stats import multivariate_normal, norm
 
+from levelcross import montecarlo
 from levelcross.crossings import mean_rate, variance_count, variance_rate_asymptotic
 from levelcross.kernels import make_sdho, make_squared_exponential
 from levelcross.montecarlo import (
@@ -56,8 +58,23 @@ class TestConfigValidation:
             sdho_config(dt=-0.01)
 
     def test_too_few_trials_rejected(self):
-        with pytest.raises(SimulationConfigError):
+        with pytest.raises(SimulationConfigError, match=r"trials must be an integer >= 2 \(got 1\)"):
             sdho_config(trials=1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("trials", 2.5), ("trials", 64.0), ("trials", True), ("trials", "64"),
+        ("seed", -1), ("seed", 1.5), ("seed", False), ("seed", None),
+    ])
+    def test_trials_and_seed_must_be_integers(self, field, value):
+        # Checked when the config is built, with the field named, rather
+        # than failing later inside numpy.
+        with pytest.raises(SimulationConfigError, match=f"^{field} must be an integer >= "):
+            sdho_config(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = sdho_config(trials=np.int64(4), seed=np.uint32(7), T=2.0)
+        assert estimate_stats(cfg, bootstrap=4) == estimate_stats(sdho_config(trials=4, T=2.0),
+                                                                  bootstrap=4)
 
     def test_unknown_system_rejected(self):
         with pytest.raises(SimulationConfigError):
@@ -83,6 +100,13 @@ class TestConfigValidation:
         with pytest.raises(SimulationConfigError, match="'zeta'"):
             SimConfig(system="ou", params={"sigma": 1.0, "tau_f": 0.5, "tau_e": 1.0, "zeta": 2.0},
                       dt=1e-3)
+
+    @pytest.mark.parametrize("system", ["sdho", "kernel"])
+    def test_window_without_a_step_rejected(self, system):
+        # T = 0.004 rounds to no step of 0.01.
+        kernel = dict(kernel=make_squared_exponential(1.0, 1.0)) if system == "kernel" else {}
+        with pytest.raises(SimulationConfigError, match="holds no step of dt"):
+            sdho_config(system=system, T=0.004, dt=0.01, **kernel)
 
     @pytest.mark.parametrize("window", [{"dt": math.nan}, {"T": math.inf}, {"T": math.nan}])
     def test_nonfinite_window_rejected(self, window):
@@ -170,6 +194,45 @@ class TestSimulators:
         lag = 25  # 1.0 time units
         est = float(np.mean(block[:, :-lag] * block[:, lag:]))
         assert est == pytest.approx(k.eval(1.0).r, abs=0.08)
+
+
+class TestTimeBlocks:
+    """Linear paths are made, and their steps screened, one time block at a
+    time."""
+
+    def test_block_length_changes_no_bit(self, monkeypatch):
+        # 545 steps: 18 blocks of at most 32 steps, 2 of the default 512, or
+        # one; 300 trials: a full chunk and a partial one.
+        sdho = sdho_config(T=10.9, trials=300, u=0.3, mode="total")
+        ou = SimConfig(system="ou", params={"sigma": 1.0, "tau_f": 0.5, "tau_e": 1.0},
+                       T=10.9, dt=0.02, trials=300, seed=3, u=0.3)
+        assert montecarlo._BLOCK_STEPS < sdho.n_steps == 545
+
+        def run():
+            return ([repr(estimate_stats(cfg, bootstrap=20)) for cfg in (sdho, ou)],
+                    np.stack(list(simulate_sdho_paths(sdho))),
+                    np.stack(list(simulate_ou_system_paths(ou))))
+
+        default = run()
+        for steps in (32, 10**6):
+            monkeypatch.setattr(montecarlo, "_BLOCK_STEPS", steps)
+            estimates, sdho_paths, ou_paths = run()
+            assert estimates == default[0]
+            assert np.array_equal(sdho_paths, default[1])
+            assert np.array_equal(ou_paths, default[2])
+
+    def test_memory_does_not_grow_with_horizon(self):
+        # Whole-path noise and state buffers of 64 trials of 50,000 steps
+        # would hold about 100 MB.
+        cfg = sdho_config(T=1000.0, trials=64)
+        assert cfg.n_steps == 50_000
+        tracemalloc.start()
+        try:
+            estimate_stats(cfg, bootstrap=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestEstimates:
