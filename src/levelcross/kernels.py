@@ -6,9 +6,8 @@ Autocorrelation kernels for the smooth stationary Gaussian processes the
 crossing statistics operate on.  Three model families are built in:
 
 * ``sdho``  -- position of a stochastically driven damped harmonic
-  oscillator, with the underdamped / critically damped / overdamped
-  branches unified in a single expression so the evaluation is smooth in
-  the damping ratio across zeta = 1;
+  oscillator, in one closed form whose circular or hyperbolic pair of
+  functions is picked from the damping ratio once per kernel;
 * ``ou_mean_revert`` -- a mean-reverting observable driven by
   Ornstein-Uhlenbeck noise (bi-exponential correlation), evaluated in a
   cancellation-free form that remains exact as the two timescales merge;
@@ -23,7 +22,7 @@ Each family's closed form is written once, in the operations of
 :mod:`levelcross._xp`, and serves ``Kernel.eval`` (one lag, Python floats)
 and ``Kernel.eval_array`` (a 1-D array of lags) alike; every element of an
 array evaluation has the bits of ``eval`` at that lag.  On arrays a branch
-(the deep overdamped split, the three forms of ``_cs_pair``) is picked by
+(the deep overdamped split, the oscillator's t = 0 point) is picked by
 mask, and each branch sees only its own lags.
 """
 
@@ -147,48 +146,26 @@ def _negative_lag(t: float) -> KernelError:
     return KernelError(f"lag must be >= 0 (got {t}); use r(-t) = r(t) explicitly")
 
 
-def _cs_pair(xp, x):
-    """C(x) = cosh(sqrt(x)) and S(x) = sinh(sqrt(x))/sqrt(x), continued to x <= 0.
-
-    For x < 0 these are cos(sqrt(-x)) and sin(sqrt(-x))/sqrt(-x); near 0 the
-    even power series keeps the pair smooth through the sign change.
-    """
-    return xp.select(x > 0.01, _cosh_pair, _cs_near_zero, x)
-
-
-def _cosh_pair(xp, x):
-    s = xp.sqrt(x)
-    return xp.cosh(s), xp.sinh(s) / s
-
-
-def _cs_near_zero(xp, x):
-    return xp.select(x < -0.01, _cos_pair, _cs_series, x)
-
-
-def _cos_pair(xp, x):
-    s = xp.sqrt(-x)
+def _trig_pair(xp, s):
     return xp.cos(s), xp.sin(s) / s
 
 
-def _cs_series(xp, x):
-    c = 1.0
-    sv = 1.0
-    term_c = 1.0
-    term_s = 1.0
-    for k in range(1, 9):
-        term_c *= x / ((2 * k - 1) * (2 * k))
-        term_s *= x / ((2 * k) * (2 * k + 1))
-        c += term_c
-        sv += term_s
-    return c, sv
+def _hyperbolic_pair(xp, s):
+    return xp.cosh(s), xp.sinh(s) / s
+
+
+def _unit_pair(xp, s):
+    return 1.0, 1.0
 
 
 class SdhoKernel(Kernel):
     """Damped-harmonic-oscillator position autocorrelation.
 
-    For t > 0 every damping branch is r(t) = A e^{-zeta w t}(C(x) + zeta w t S(x))
-    with x = w^2(zeta^2-1) t^2, which hands back the familiar cos/cosh forms for
-    x of either sign and stays smooth through critical damping.
+    With s = w sqrt|zeta^2-1| t, r(t) = A e^{-zeta w t}(C + zeta w t S), where
+    (C, S) is (cos s, sin s / s) below critical damping, (cosh s, sinh s / s)
+    above it, and (1, 1) at zeta = 1 and at t = 0: the pair is picked from
+    zeta once per kernel.  Above critical damping and past s = 20 the form
+    is split into its two decaying exponentials, as cosh would overflow.
     """
 
     family = "sdho"
@@ -210,6 +187,9 @@ class SdhoKernel(Kernel):
             self.tau_slow = 1.0 / (zeta * omega0)
         self.tau_fast = 1.0 / omega0
         self.shape = {"zeta": zeta}
+        self._rate = omega0 * math.sqrt(abs(zeta * zeta - 1.0))  # s = _rate * t
+        self._pair = _trig_pair if zeta < 1.0 else _hyperbolic_pair
+        self._split_above = 20.0 if zeta > 1.0 else math.inf
 
     @property
     def series_scale(self) -> float:
@@ -222,32 +202,29 @@ class SdhoKernel(Kernel):
     def _rpq(self, t, xp=_Floats):
         w = self.omega0
         z = self.zeta
-        x = w * w * (z * z - 1.0) * t * t
-        r, p = xp.select(x > 400.0, self._split, self._unified, t, x)
+        s = self._rate * t
+        r, p = xp.select(s > self._split_above, self._split, self._pair_form, t, s)
         # r solves r'' + 2 zeta w r' + w^2 r = 0 for t > 0.
         q = 2.0 * z * w * p + w * w * r
         return r, p, q
 
-    def _split(self, xp, t, x):
-        # Deep overdamped regime: cosh would overflow; use the explicit
-        # two-exponential split with strictly negative exponents.
+    def _split(self, xp, t, s):
+        # r as its two exponentials, both with negative exponents.
         w = self.omega0
         z = self.zeta
         amp = self.r0
-        s = math.sqrt(z * z - 1.0)
-        lam_slow = w * (z - s)
-        lam_fast = w * (z + s)
-        e_slow = xp.exp(-lam_slow * t)
-        e_fast = xp.exp(-lam_fast * t)
-        r = 0.5 * amp * ((1.0 + z / s) * e_slow + (1.0 - z / s) * e_fast)
-        p = -amp * w * w * t * (e_slow - e_fast) / (2.0 * xp.sqrt(x))
+        k = math.sqrt(z * z - 1.0)
+        e_slow = xp.exp(-w * (z - k) * t)
+        e_fast = xp.exp(-w * (z + k) * t)
+        r = 0.5 * amp * ((1.0 + z / k) * e_slow + (1.0 - z / k) * e_fast)
+        p = -amp * w * w * (e_slow - e_fast) / (2.0 * self._rate)
         return r, p
 
-    def _unified(self, xp, t, x):
+    def _pair_form(self, xp, t, s):
         w = self.omega0
         z = self.zeta
         amp = self.r0
-        c, sv = _cs_pair(xp, x)
+        c, sv = xp.select(s > 0.0, self._pair, _unit_pair, s)
         decay = xp.exp(-z * w * t)
         r = amp * decay * (c + z * w * t * sv)
         p = -amp * w * w * t * decay * sv

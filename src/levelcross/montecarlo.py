@@ -15,7 +15,8 @@ Independent oracles for the closed-form crossing statistics:
   one BLAS product into reused buffers.  estimate_stats screens each block
   for crossings as it is made, so its memory does not grow with the
   horizon, but for the end states of the few steps kept for bridge
-  refinement.  The circulant sampler transforms its trials in groups, one
+  refinement, which it refines a group of trials at a time once they are
+  many.  The circulant sampler transforms its trials in groups, one
   FFT pair a group rather than a trial; a group is bounded by its number
   of samples, not of trials, so that a long embedding ring does not
   allocate many rings at once;
@@ -107,8 +108,16 @@ class SimConfig:
         if self.system == "kernel":
             if self.kernel is None:
                 raise SimulationConfigError("system='kernel' requires a kernel")
+            if self.params:
+                raise SimulationConfigError(
+                    f"params must be empty for system='kernel', whose kernel holds its "
+                    f"parameters (got {self.params!r})")
             kernel = self.kernel
         elif self.system in ("sdho", "ou"):
+            if self.kernel is not None:
+                raise SimulationConfigError(
+                    f"kernel must be None for system={self.system!r}, whose params "
+                    f"set its kernel (got {self.kernel!r})")
             # The system's own kernel checks its parameters.
             make = make_sdho if self.system == "sdho" else make_ou_mean_revert
             try:
@@ -417,7 +426,11 @@ def _kernel_chunks(kernel: Kernel, config: SimConfig) -> Iterator[tuple[int, np.
 
 
 def simulate_kernel_paths(kernel: Kernel, config: SimConfig) -> Iterator[np.ndarray]:
-    """Stationary Gaussian paths with covariance r(|i-j| dt), circulant embedding."""
+    """Stationary Gaussian paths with covariance r(|i-j| dt), circulant
+    embedding; kernel must be config.kernel, against which dt was checked."""
+    if kernel is not config.kernel:
+        raise SimulationConfigError(
+            f"kernel must be config.kernel (got {kernel!r} against {config.kernel!r})")
     return _paths_from_blocks(block for _, block in _kernel_chunks(kernel, config))
 
 
@@ -452,6 +465,9 @@ _BRIDGE_DEPTH = 7
 # this many mid-step conditional standard deviations away from the level, or
 # its slope stays that far away from zero.
 _BRIDGE_MARGIN = 8.0
+# Most steps left to refine that _Bridge.counts refines at once; the cells of
+# 256 trials of 2000 steps leave at most about 8,300, so they stay one group.
+_REFINE_STEPS = 2**14
 
 
 def _apply(mat: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -577,8 +593,8 @@ class _Bridge:
         counts = np.bincount(trial, weights=sampled, minlength=width).astype(np.int64)
         return (counts, *self._unsettled(trial, ends, first, u))
 
-    def counts(self, blocks, rngs, u: float, mode: CrossingMode) -> np.ndarray:
-        """Per-trial crossing counts of one chunk from _linear_chunks.
+    def _gather(self, blocks, u: float, mode: CrossingMode):
+        """(counts, trial, ends) of a whole chunk from _linear_chunks.
 
         Each time block is screened as it is made (see _screen), so of a
         block only the end states of the steps left to refine outlive it.
@@ -591,8 +607,32 @@ class _Bridge:
         # A stable radix sort of the blocks' steps by trial (a chunk has
         # fewer than 2**16 trials).
         order = np.argsort(trial.astype(np.uint16), kind="stable")
-        counts, trial, ends = sum(counts), trial[order], ends[:, order]
+        return sum(counts), trial[order], ends[:, order]
+
+    def counts(self, blocks, rngs, u: float, mode: CrossingMode) -> np.ndarray:
+        """Per-trial crossing counts of one chunk from _linear_chunks.
+
+        The steps that _gather leaves to refine are refined a group of whole
+        trials at a time, the fewest groups of equally many trials that
+        average at most _REFINE_STEPS steps: every trial still draws in the
+        same order, so the counts keep their bits, and the refinement's
+        memory stays bounded however many steps are left.
+        """
+        counts, trial, ends = self._gather(blocks, u, mode)
         width = len(rngs)
+        per = math.ceil(width / max(1, math.ceil(trial.size / _REFINE_STEPS)))
+        bounds = np.searchsorted(trial, np.arange(0, width + per, per)).tolist()
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            counts += self._refine(trial[lo:hi], ends[:, lo:hi], rngs, u, mode)
+        return counts
+
+    def _refine(self, trial: np.ndarray, ends: np.ndarray, rngs, u: float,
+                mode: CrossingMode) -> np.ndarray:
+        """Per-trial change of the counts by bisecting the steps (trial, ends),
+        which are ordered by trial, then time, and unsettled at the first
+        level."""
+        width = len(rngs)
+        counts = np.zeros(width, dtype=np.int64)
         for depth, level in enumerate(self.levels):
             if depth:
                 trial, ends = self._unsettled(trial, ends, level, u)

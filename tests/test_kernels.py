@@ -6,6 +6,7 @@ before comparing against the closed-form p and q returned by eval().
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -124,6 +125,43 @@ class TestBranchesAndLimits:
             assert b.q == pytest.approx(a.q, rel=1e-10, abs=1e-12)
 
 
+def sdho_reference(kernel, t):
+    """(r, p, q) of the oscillator from its two exponentials, in mpmath.
+
+    With roots l+- = w (zeta +- sqrt(zeta^2 - 1)), complex below critical
+    damping, r = A (l+ e^{-l- t} - l- e^{-l+ t}) / (l+ - l-).  Critical
+    damping is taken 1e-40 above zeta = 1, far below double precision.
+    """
+    with mp.workdps(50):
+        w, z, t = mp.mpf(kernel.omega0), mp.mpf(kernel.zeta), mp.mpf(t)
+        if z == 1:
+            z += mp.mpf(10) ** -40
+        root = mp.sqrt(mp.mpc(z * z - 1))
+        fast, slow = w * (z + root), w * (z - root)
+        e_fast, e_slow = mp.exp(-fast * t), mp.exp(-slow * t)
+        scale = mp.mpf(kernel.r0) / (fast - slow)
+        r = scale * (fast * e_slow - slow * e_fast)
+        p = scale * fast * slow * (e_fast - e_slow)
+        q = scale * fast * slow * (fast * e_fast - slow * e_slow)
+        return tuple(float(mp.re(v)) for v in (r, p, q))
+
+
+class TestSdhoAgainstMpmath:
+    @pytest.mark.parametrize("zeta", [0.3, 0.7, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 2.0, 3.0, 25.0])
+    def test_rpq_within_1e13(self, zeta):
+        kernel = make_sdho(1.3, zeta, 0.7)
+        lags = [0.0, *(np.geomspace(1e-6, 40.0, 80) * kernel.tau_slow).tolist()]
+        if zeta != 1.0:
+            # s = 20 ends the hyperbolic form above critical damping.
+            at_20 = 20.0 / (kernel.omega0 * math.sqrt(abs(zeta * zeta - 1.0)))
+            lags += [at_20 * (1.0 - 1e-9), at_20 * (1.0 + 1e-9), 0.9 * at_20, 1.1 * at_20]
+        scales = (kernel.r0, math.sqrt(kernel.r0 * kernel.q0), kernel.q0)
+        for t in lags:
+            got = kernel.eval(t)
+            for name, value, want, scale in zip("rpq", got, sdho_reference(kernel, t), scales):
+                assert abs(value - want) <= 1e-13 * scale, (name, t)
+
+
 class TestValidation:
     @pytest.mark.parametrize("bad", [
         lambda: make_sdho(-1.0, 0.5, 1.0),
@@ -188,13 +226,14 @@ class TestArrayEvaluation:
         assert np.array(got).tobytes() == want.tobytes()
 
     def test_lags_reach_every_branch(self):
-        for kernel, branches in ((make_sdho(1.0, 0.3, 1.0), ("x < -0.01", "|x| <= 0.01")),
-                                 (make_sdho(1.0, 1.0, 1.0), ("|x| <= 0.01",)),
-                                 (make_sdho(1.3, 3.0, 0.7), ("x > 400", "0.01 < x <= 400", "|x| <= 0.01"))):
-            # x = w^2 (zeta^2 - 1) t^2 picks the sdho branch.
-            x = kernel.omega0**2 * (kernel.zeta**2 - 1.0) * self.LAGS**2
-            reached = {"x < -0.01": x < -0.01, "|x| <= 0.01": abs(x) <= 0.01,
-                       "0.01 < x <= 400": (0.01 < x) & (x <= 400.0), "x > 400": x > 400.0}
+        for kernel, branches in ((make_sdho(1.0, 0.3, 1.0), ("s = 0", "trig")),
+                                 (make_sdho(1.0, 1.0, 1.0), ("s = 0",)),
+                                 (make_sdho(1.3, 3.0, 0.7), ("s = 0", "hyperbolic", "split"))):
+            # s = w sqrt|zeta^2 - 1| t and the sign of zeta - 1 pick the sdho branch.
+            s = kernel.omega0 * math.sqrt(abs(kernel.zeta**2 - 1.0)) * self.LAGS
+            z = kernel.zeta
+            reached = {"s = 0": s == 0.0, "trig": (s > 0.0) & (z < 1.0),
+                       "hyperbolic": (s > 0.0) & (s <= 20.0) & (z > 1.0), "split": (s > 20.0) & (z > 1.0)}
             assert {name for name, mask in reached.items() if mask.any()} == set(branches)
         assert [abs(1.0 - k.kappa) <= 1e-3 for k in (make_ou_mean_revert(1.0, 1.0 + 5e-4, 1.0),
                                                     make_ou_mean_revert(1.2, 0.05, 1.0))] == [True, False]

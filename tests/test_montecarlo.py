@@ -101,6 +101,28 @@ class TestConfigValidation:
             SimConfig(system="ou", params={"sigma": 1.0, "tau_f": 0.5, "tau_e": 1.0, "zeta": 2.0},
                       dt=1e-3)
 
+    @pytest.mark.parametrize("system, params", [
+        ("sdho", SDHO_PARAMS), ("ou", {"sigma": 1.0, "tau_f": 0.5, "tau_e": 1.0})])
+    def test_linear_system_rejects_a_kernel(self, system, params):
+        # The system's params set its kernel; a second one would be ignored.
+        with pytest.raises(SimulationConfigError, match=f"^kernel must be None for system='{system}'"):
+            SimConfig(system=system, params=params, kernel=make_sdho(1.0, 2.0, 1.0), dt=1e-3)
+
+    def test_kernel_system_rejects_params(self):
+        with pytest.raises(SimulationConfigError, match="^params must be empty for system='kernel'"):
+            SimConfig(system="kernel", kernel=make_squared_exponential(1.0, 1.0),
+                      params={"tau": 2.0}, dt=1e-3)
+
+    def test_kernel_paths_draw_the_configs_kernel(self):
+        # dt was checked against config.kernel, so no other kernel is drawn.
+        se = make_squared_exponential(1.0, 1.0)
+        cfg = SimConfig(system="kernel", kernel=se, T=2.0, dt=0.02, trials=2)
+        for other, config in ((make_squared_exponential(1.0, 1.0), cfg),
+                              (se, sdho_config(T=2.0, trials=2))):
+            with pytest.raises(SimulationConfigError, match="^kernel must be config.kernel"):
+                simulate_kernel_paths(other, config)
+        assert len(list(simulate_kernel_paths(se, cfg))) == 2
+
     @pytest.mark.parametrize("system", ["sdho", "kernel"])
     def test_window_without_a_step_rejected(self, system):
         # T = 0.004 rounds to no step of 0.01.
@@ -225,6 +247,35 @@ class TestTimeBlocks:
         # Whole-path noise and state buffers of 64 trials of 50,000 steps
         # would hold about 100 MB.
         cfg = sdho_config(T=1000.0, trials=64)
+        assert cfg.n_steps == 50_000
+        tracemalloc.start()
+        try:
+            estimate_stats(cfg, bootstrap=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+
+class TestRefineGroups:
+    """Many steps left to refine are refined a group of trials at a time."""
+
+    def test_group_size_changes_no_bit(self, monkeypatch):
+        # 300 trials: a full chunk and a partial one, each some 10^3 steps
+        # to refine, in one group or in groups of one to a few trials.
+        cfg = sdho_config(params={"omega0": 1.0, "zeta": 2.0, "theta": 1.0}, T=20.0,
+                          trials=300, u=0.0, mode="total")
+        default = repr(estimate_stats(cfg, bootstrap=20))
+        for steps in (1, 64):
+            monkeypatch.setattr(montecarlo, "_REFINE_STEPS", steps)
+            assert repr(estimate_stats(cfg, bootstrap=20)) == default
+
+    def test_memory_does_not_grow_with_crossings(self):
+        # At zeta = 2, u = 0 and dt = 0.01 tau_slow, some 50,000 steps are
+        # left to refine; refined at once they peak near 18 MB.
+        kernel = make_sdho(1.0, 2.0, 1.0)
+        dt = 0.01 * kernel.tau_slow
+        cfg = sdho_config(params=dict(kernel.params), T=50_000 * dt, dt=dt, u=0.0)
         assert cfg.n_steps == 50_000
         tracemalloc.start()
         try:

@@ -10,6 +10,8 @@ import json
 import os
 import sys
 
+import pytest
+
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 sys.path.insert(0, DATA)
 
@@ -28,6 +30,21 @@ def test_check_lists_every_differing_case(tmp_path, capsys):
     golden.write_text(json.dumps({"cases": [{"case": c, "values": 0} for c in "abc"]}))
     cases = [{"case": c, "values": v} for c, v in zip("abc", (1, 0, 1))]
     assert _golden.check(cases, str(golden), lambda case: case["case"]) == 1
-    assert capsys.readouterr().out == "differs: a\ndiffers: c\n"
+    assert capsys.readouterr().out == "differs: a\n  values: inf\ndiffers: c\n  values: inf\n"
     assert _golden.check([{"case": "a", "values": 0}], str(golden), lambda case: case["case"]) == 1
     assert capsys.readouterr().out == "differs: 1 cases against 3 in the fixture\n"
+
+
+def test_drift_reads_every_numeric_field():
+    # Hex floats and JSON numbers under their keys, CSV cells under their
+    # column, repr text by name; text that is no number is not a field.
+    want = {"values": [{"mean": float.hex(2.0), "evaluations": 90, "converged": True}],
+            "csv": "# comment, 1\nu,fano,converged\n0,1.5,true\n1,nan,true\n",
+            "estimate": "SimEstimate(fano=4.0, trials=300)", "error": "ZeroDivisionError"}
+    got = {"values": [{"mean": float.hex(2.0 * (1 + 2**-52)), "evaluations": 90, "converged": False}],
+           "csv": "# comment, 1\nu,fano,converged\n0,1.5000003,true\n1,nan,true\n",
+           "estimate": "SimEstimate(fano=5.0, trials=300)", "error": "ZeroDivisionError"}
+    assert _golden.drift(got, want) == {"mean": 2**-52, "evaluations": 0.0, "u": 0.0,
+                                        "fano": 0.25, "trials": 0.0}
+    assert _golden.drift({"csv": "u\n1.0000003\n"}, {"csv": "u\n1\n"})["u"] == pytest.approx(3e-7)
+    assert _golden.drift({"values": [1, 2]}, {"values": [1]}) == {"values": "2 numbers against 1"}
