@@ -64,24 +64,27 @@ Three numerical regimes of the integrand are handled explicitly:
 
 The validity gate's outcome and the short-lag series tables are cached on
 the kernel, so each is computed once per kernel.  ``variance_rate_asymptotic``
-also takes a sequence of levels (one sweep row).  Each level keeps its own
-adaptive mesh, so every result equals its single-level call bit for bit, but
-the levels are integrated in lockstep
-(:func:`levelcross.quadrature.integrate_semi_infinite_rows`): each round,
-one ``_panel`` call gives every level's values at the lags of every panel
-that some level asks for and no earlier round gave, the level-free work as
-arrays over those lags (``_lags``), then one array expression per regime.
-Round 0 also evaluates the open-left stub panels that every level asks for
-one at a time later, so a 9-level row takes a handful of ``_panel`` calls.
-The table of panels lives for that one call and is never stored on the
-kernel.  Any sequence of levels, one level included, takes the array path.
-A scalar level keeps the float path (``_lag``), the reference the array path
-is tested against, and calls its integrand once for each panel it asks for,
-nothing more.  The array path would be faster there too (a long-time
-rate statistic takes 0.67 ms of CPU as a row of one against 2.58 ms), but
+takes one level or a sequence of levels (one sweep row), and a scalar level
+is a row of one.  Each level keeps its own adaptive mesh, so every result
+equals its single-level call bit for bit, but the levels are integrated in
+lockstep (:func:`levelcross.quadrature.integrate_semi_infinite_rows`): each
+round, one ``_panel`` call gives every level's values at the lags of every
+panel that some level asks for and no earlier round gave, the level-free
+work as arrays over those lags (``_lags``), then one array expression per
+regime.  Round 0 also evaluates the open-left stub panels that every level
+asks for one at a time later, so a 9-level row takes a handful of ``_panel``
+calls.  The table of panels lives for that one call and is never stored on
+the kernel.  A row of one gives the float path's value, error and evaluation
+count for less CPU (2.7 times less on average over seven kernel families).
+
+The float path (``_lag``, one integrand call per panel) serves what is left:
+finite windows (``variance_count``), the zero-level statistics
+(``zero_level_stats``) and the fallback of a row that raised
+(``_float_stats``); it is also the reference the array path is tested
+against.  Moving them onto the array path, like a faster float ``_horner``,
+waits for a benchmark that no longer couples throughput and memory:
 ``perfbench``'s worker keeps every operation until it reads the peak RSS,
-so a faster ``stats_mix`` reads a higher ``peak_rss_mb``; the scalar call
-moves once the benchmark no longer couples the two.
+so a faster ``stats_mix`` reads a higher ``peak_rss_mb``.
 """
 
 from __future__ import annotations
@@ -535,9 +538,13 @@ def mean_count(kernel: Kernel, u: float, T: float, mode=CrossingMode.UP) -> floa
     return T * mean_rate(kernel, u, mode)
 
 
-def _pick_integrand(kernel: Kernel, u: float, mode: CrossingMode):
+def _float_stats(kernel: Kernel, u: float, mode: CrossingMode, T: float | None,
+                 spec: QuadratureSpec | None) -> CrossingStats:
+    """One level's statistics on the float path (``_lag``), one integrand call
+    per panel: windows, and the fallback of a long-time row that raised."""
     integrand = integrand_total if mode is CrossingMode.TOTAL else integrand_up
-    return pointwise(functools.partial(integrand, kernel, u))
+    f = pointwise(functools.partial(integrand, kernel, u))
+    return _assemble(kernel, u, mode, T, lambda: _lag_integral(kernel, f, T, spec))
 
 
 def _gate(kernel: Kernel) -> tuple[str, ...]:
@@ -619,9 +626,7 @@ def variance_count(
     spec: QuadratureSpec | None = None,
 ) -> CrossingStats:
     """Finite-horizon crossing-count variance: mean + 2T int_0^T (1-t/T) I dt."""
-    mode = _mode(mode)
-    f = _pick_integrand(kernel, u, mode)
-    return _assemble(kernel, u, mode, T, lambda: _lag_integral(kernel, f, T, spec))
+    return _float_stats(kernel, u, _mode(mode), T, spec)
 
 
 def variance_rate_asymptotic(
@@ -631,24 +636,22 @@ def variance_rate_asymptotic(
 
     ``u`` may also be a sequence of levels; the result is then a tuple with
     one ``CrossingStats`` per level, each equal to its single-level call.
-    The levels are integrated in lockstep (``_row``).  If that raises what a
-    lag, the gate or the integrator raises (``ArithmeticError`` or
-    ``ValueError``), the levels are computed one by one in order, so the call
-    raises what the single-level call of the first level to fail raises.
+    The levels, a scalar as a row of one, are integrated in lockstep
+    (``_row``).  If that raises what a lag, the gate or the integrator raises
+    (``ArithmeticError`` or ``ValueError``), the float path (``_float_stats``)
+    computes them in order and raises for the first level to fail.
     """
     mode = _mode(mode)
-    if np.ndim(u) == 0:
-        f = _pick_integrand(kernel, u, mode)
-        return _assemble(kernel, u, mode, None, lambda: _lag_integral(kernel, f, None, spec))
-    if len(u):
-        try:
-            return _row(kernel, u, mode, spec)
-        except (ArithmeticError, ValueError):
-            # A lag, the gate or the integrator failed: the single-level
-            # calls below raise it again for the first level it concerns; round 0 may have evaluated a
-            # lag that no level asks for, and then they succeed.
-            pass
-    return tuple(variance_rate_asymptotic(kernel, level, mode, spec) for level in u)
+    scalar = np.ndim(u) == 0
+    levels = (u,) if scalar else u
+    try:
+        row = _row(kernel, levels, mode, spec) if len(levels) else ()
+    except (ArithmeticError, ValueError):
+        # A lag, the gate or the integrator failed: the float path raises it
+        # again for the first level it concerns; round 0 may have evaluated a
+        # lag that no level asks for, and then it succeeds.
+        row = tuple(_float_stats(kernel, level, mode, None, spec) for level in levels)
+    return row[0] if scalar else row
 
 
 def _row(kernel: Kernel, u, mode: CrossingMode, spec: QuadratureSpec | None) -> tuple:
@@ -668,11 +671,14 @@ def _row(kernel: Kernel, u, mode: CrossingMode, spec: QuadratureSpec | None) -> 
 
 
 def fano(
-    kernel: Kernel, u: float, mode=CrossingMode.UP, spec: QuadratureSpec | None = None
-) -> float | None:
+    kernel: Kernel, u, mode=CrossingMode.UP, spec: QuadratureSpec | None = None
+) -> float | None | tuple[float | None, ...]:
     """Long-time Fano factor: the variance rate over the mean rate (None if
-    the mean rate underflows to 0)."""
-    return variance_rate_asymptotic(kernel, u, mode, spec).fano
+    the mean rate underflows to 0), from ``variance_rate_asymptotic``.  A
+    sequence of levels gives a tuple with one factor per level, computed as
+    one row."""
+    stats = variance_rate_asymptotic(kernel, u, mode, spec)
+    return stats.fano if isinstance(stats, CrossingStats) else tuple(st.fano for st in stats)
 
 
 def zero_level_stats(
@@ -711,16 +717,17 @@ def _unit_kernel(family: str, shape: dict) -> Kernel:
 
 def dimensionless_fano(
     family_or_kernel,
-    psi: float,
+    psi,
     mode=CrossingMode.UP,
     spec: QuadratureSpec | None = None,
     shape: dict | None = None,
-) -> float:
+) -> float | None | tuple[float | None, ...]:
     """Fano factor as a function of the dimensionless threshold psi = u/sigma.
 
     Accepts either a kernel (its shape parameters are extracted) or a family
     name plus a shape dict.  The Fano factor is scale-free: this evaluates
-    the unit-amplitude, unit-timescale member of the family at u = psi.
+    the unit-amplitude, unit-timescale member of the family at u = psi.  A
+    sequence of thresholds gives a tuple, as ``fano`` does.
     """
     if isinstance(family_or_kernel, Kernel):
         family = family_or_kernel.family

@@ -773,11 +773,16 @@ def _joint_quadratics(kernel: Kernel, t: float):
     lam = np.linalg.eigvalsh(corr * np.outer(d_isqrt, d_isqrt))
     log_norm_diff = -0.5 * float(np.sum(np.log1p(lam)))
     product_norm = 1.0 / (4.0 * math.pi**2 * r0 * q0)
+    # v @ delta @ v at v = (u, u, y1, y2), as a quadratic form in (u, y1, y2)
+    # with six float coefficients (delta is symmetric).
+    uu = float(delta[:2, :2].sum())
+    u1, u2 = (2.0 * delta[:2, 2:].sum(axis=0)).tolist()
+    c11, c12, c22 = float(delta[2, 2]), 2.0 * float(delta[2, 3]), float(delta[3, 3])
 
     def difference(u: float, y1: float, y2: float) -> float:
-        v = np.array([u, u, y1, y2])
         s_product = -u * u / r0 - 0.5 * (y1 * y1 + y2 * y2) / q0
-        eta = -0.5 * float(v @ delta @ v) + log_norm_diff
+        quad = u * (uu * u + u1 * y1 + u2 * y2) + y1 * (c11 * y1 + c12 * y2) + c22 * y2 * y2
+        eta = -0.5 * quad + log_norm_diff
         return product_norm * math.exp(s_product) * math.expm1(eta)
 
     return difference

@@ -300,30 +300,41 @@ class TestPerKernelWork:
 
 
 class TestLevelRow:
-    """variance_rate_asymptotic on a sequence of levels: one call per row."""
+    """variance_rate_asymptotic on a sequence of levels: one call per row;
+    a scalar level is a row of one."""
 
     LEVELS = (0.0, 0.5, -0.75, 0.5)  # a repeated and a negative level
 
-    @pytest.mark.parametrize("kernel", [make_sdho(1.0, 0.7, 1.0), make_ou_mean_revert(1.0, 0.3, 1.0),
-                                        make_rational_quadratic(1.0, 1.0, 2.0),
-                                        make_squared_exponential(1.0, 1.0)], ids=repr)
+    # The kernel families of the stats_mix benchmark workload.
+    @pytest.mark.parametrize("kernel", [make_sdho(1.0, 0.7, 1.0), make_sdho(1.0, 1.0, 1.0),
+                                        make_sdho(1.0, 2.0, 1.0), make_ou_mean_revert(1.0, 0.3, 1.0),
+                                        make_squared_exponential(1.0, 1.0),
+                                        make_rational_quadratic(1.0, 1.0, 0.75),
+                                        make_rational_quadratic(1.0, 1.0, 2.0)], ids=repr)
     @pytest.mark.parametrize("mode", ["up", "total"])
     def test_row_equals_single_level_calls(self, kernel, mode):
+        # Rows and scalar calls alike equal the float path, level by level.
+        expected = [repr(crossings._float_stats(kernel, u, CrossingMode(mode), None, None))
+                    for u in self.LEVELS]
         row = variance_rate_asymptotic(kernel, list(self.LEVELS), mode)
         assert isinstance(row, tuple)
-        assert [repr(st) for st in row] == [
-            repr(variance_rate_asymptotic(kernel, u, mode)) for u in self.LEVELS
-        ]
+        assert [repr(st) for st in row] == expected
+        assert [repr(variance_rate_asymptotic(kernel, u, mode)) for u in self.LEVELS] == expected
         assert repr(variance_rate_asymptotic(kernel, [0.5], mode)) == repr((row[1],))
 
     def test_one_level_takes_the_row_path(self, monkeypatch):
         calls = []
         original = crossings._panel
         monkeypatch.setattr(crossings, "_panel", lambda *args: calls.append(args[1]) or original(*args))
+        monkeypatch.setattr(crossings, "_float_stats", None)  # the float path is never taken
         (row,) = variance_rate_asymptotic(SDHO, [0.5], "up")
-        assert calls and all(levels.tolist() == [[0.5]] for levels in calls)
+        n_row = len(calls)
+        scalar = variance_rate_asymptotic(SDHO, 0.5, "up")
+        assert n_row and len(calls) == 2 * n_row
+        assert all(levels.tolist() == [[0.5]] for levels in calls)
         monkeypatch.undo()
-        assert repr(row) == repr(variance_rate_asymptotic(SDHO, 0.5, "up"))
+        float_path = crossings._float_stats(SDHO, 0.5, CrossingMode.UP, None, None)
+        assert repr(row) == repr(scalar) == repr(float_path)
 
     def test_row_evaluates_kernel_once_per_lag(self, monkeypatch):
         # The row evaluates its lags through eval_array, a panel at a time.
@@ -369,11 +380,13 @@ class TestRowDriver:
             raise TypeError("injected")
 
         monkeypatch.setattr(crossings, "_panel", broken)
-        with pytest.raises(TypeError, match="injected"):
-            variance_rate_asymptotic(make_sdho(1.0, 0.7, 1.0), self.LEVELS)
+        for u in (self.LEVELS, 0.5):
+            with pytest.raises(TypeError, match="injected"):
+                variance_rate_asymptotic(make_sdho(1.0, 0.7, 1.0), u)
 
     def _nan_at(self, monkeypatch, kernel, level, t_bad):
-        """The excess at (level, t_bad) is NaN, on the float and array paths."""
+        """The excess at (level, t_bad) is NaN, on the float path (the
+        fallback, ``_float_stats``) and the array path."""
         up, panel = crossings.integrand_up, crossings._panel
 
         def integrand(k, u, t):
@@ -387,17 +400,18 @@ class TestRowDriver:
         monkeypatch.setattr(crossings, "integrand_up", integrand)
         monkeypatch.setattr(crossings, "_panel", array_panel)
 
-    def _lags_of(self, monkeypatch, call) -> list:
+    def _lags_of(self, monkeypatch, kernel, level) -> list:
+        """The lags that the float path (``_float_stats``) asks for at one level."""
         seen = []
         up = crossings.integrand_up
         with monkeypatch.context() as patch:
             patch.setattr(crossings, "integrand_up", lambda k, u, t: seen.append(t) or up(k, u, t))
-            call()
+            crossings._float_stats(kernel, level, CrossingMode.UP, None, None)
         return seen
 
     def test_nan_raises_first_failing_levels_error(self, monkeypatch):
         kernel = make_sdho(1.0, 0.7, 1.0)
-        t_bad = self._lags_of(monkeypatch, lambda: variance_rate_asymptotic(kernel, 1.0))[20]
+        t_bad = self._lags_of(monkeypatch, kernel, 1.0)[20]
         self._nan_at(monkeypatch, kernel, 1.0, t_bad)
         with pytest.raises(IntegrationError) as single:
             variance_rate_asymptotic(kernel, 1.0)
@@ -415,7 +429,7 @@ class TestRowDriver:
         expected = [variance_rate_asymptotic(kernel, u) for u in self.LEVELS]
         asked = set()
         for u in self.LEVELS:
-            asked.update(self._lags_of(monkeypatch, lambda u=u: variance_rate_asymptotic(kernel, u)))
+            asked.update(self._lags_of(monkeypatch, kernel, u))
         evaluated = []
         panel = crossings._panel
         with monkeypatch.context() as patch:
@@ -595,6 +609,22 @@ class TestFano:
     def test_consistent_with_variance_rate(self):
         st = variance_rate_asymptotic(SE, 0.7, "up")
         assert fano(SE, 0.7, "up") == pytest.approx(st.variance / st.mean, rel=1e-10)
+
+    def test_sequence_gives_one_factor_per_level(self, monkeypatch):
+        # One row per call, and the scalar calls' values, None for a far level.
+        k = make_sdho(1.0, 0.5, 1.0)
+        levels = [0.5, 1.0, 1e300]
+        expected = tuple(fano(k, u) for u in levels)
+        assert expected[-1] is None
+        rows = []
+        original = crossings._row
+        monkeypatch.setattr(crossings, "_row", lambda kernel, u, *args: rows.append(list(u))
+                            or original(kernel, u, *args))
+        assert fano(k, levels, "up") == expected
+        assert dimensionless_fano(k, levels) == expected  # k is the unit member of its family
+        assert rows == [levels, levels]
+        monkeypatch.undo()
+        assert dimensionless_fano(k, levels) == tuple(dimensionless_fano(k, psi) for psi in levels)
 
 
 class TestZeroLevel:
