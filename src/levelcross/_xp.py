@@ -7,8 +7,8 @@ and :mod:`levelcross.crossings` are written in, so that each formula is
 written once and takes either Python floats (``xp=_Floats``, one value,
 through :mod:`math`) or numpy arrays (``xp=_Arrays``), with the same bits in
 every element: numpy's + - * / and square root round as Python's do, while
-exp, erf, the hyperbolic and circular functions and powers go element by
-element through the same functions as the float path.
+exp, erf, arctan, the hyperbolic and circular functions and powers go element
+by element through the same functions as the float path.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ class _Floats:
     """The elementary operations on Python floats: one value."""
 
     exp, expm1, cosh, sinh, cos, sin = math.exp, math.expm1, math.cosh, math.sinh, math.cos, math.sin
-    sqrt, erf, stack = math.sqrt, erf, np.array
+    atan, sqrt, erf, stack = math.atan, math.sqrt, erf, np.array
 
     @staticmethod
     def cube(x):
@@ -58,8 +58,8 @@ class _Arrays:
     """The same operations, element by element, on arrays: many values.  Each
     element equals the float path's value bit for bit."""
 
-    exp, expm1, cosh, sinh, cos, sin = map(
-        _each, (math.exp, math.expm1, math.cosh, math.sinh, math.cos, math.sin))
+    exp, expm1, cosh, sinh, cos, sin, atan = map(
+        _each, (math.exp, math.expm1, math.cosh, math.sinh, math.cos, math.sin, math.atan))
     erf, cube, sqrt = _each(erf), _each(_Floats.cube), np.sqrt
 
     @staticmethod

@@ -24,15 +24,16 @@ Where each piece comes from:
 * ``integrand_up`` and ``integrand_total`` share one body, ``_excess``,
   fed by ``_lag``: everything at a lag t that does not depend on the level
   (the kernel evaluation, the weak-correlation test and the level-free part
-  of ``abg_params``); the zero-level arctan integrands are kept apart as an
-  independent reference, except at weak-correlation lags, where they share
-  ``_linearized``: the arctan form there leaves only a roundoff floor, which
-  the tail map would integrate over lags up to ~1e16 tau_slow;
-* ``_excess``, ``_bracket`` and ``_linearized`` are each written once and
-  take either Python floats (one level at one lag, through ``math``) or
-  arrays of levels x lags (``xp=_Arrays``), with the same bits in every
-  element (the operations are those of :mod:`levelcross._xp`, which the
-  kernels' closed forms use too);
+  of ``abg_params``); the zero-level arctan form, ``_zero_excess`` (the body
+  of ``_integrand_zero``), is kept apart as an independent reference, except
+  at weak-correlation lags, where it shares ``_linearized``: the arctan form
+  there leaves only a roundoff floor, which the tail map would integrate
+  over lags up to ~1e16 tau_slow;
+* ``_excess``, ``_zero_excess``, ``_bracket`` and ``_linearized`` are each
+  written once and take either Python floats (one level at one lag, through
+  ``math``) or arrays of levels x lags (``xp=_Arrays``), with the same bits
+  in every element (the operations are those of :mod:`levelcross._xp`,
+  which the kernels' closed forms use too);
 * ``_lags`` is ``_lag`` over the lags of a whole panel, with the same bits:
   one ``Kernel.eval_array`` call for the direct lags, one ``_horner`` pass
   over the four short-lag series polynomials, and ``_lag_params``'
@@ -76,15 +77,20 @@ asks for one at a time later, so a 9-level row takes a handful of ``_panel``
 calls.  The table of panels lives for that one call and is never stored on
 the kernel.  A row of one gives the float path's value, error and evaluation
 count for less CPU (2.7 times less on average over seven kernel families).
+The long-time zero-level statistics are rows of one as well, of the arctan
+form (``_panel`` takes the per-regime expression): 3.0 times less CPU.
 
-The float path (``_lag``, one integrand call per panel) serves what is left:
-finite windows (``variance_count``), the zero-level statistics
-(``zero_level_stats``) and the fallback of a row that raised
-(``_float_stats``); it is also the reference the array path is tested
-against.  Moving them onto the array path, like a faster float ``_horner``,
-waits for a benchmark that no longer couples throughput and memory:
-``perfbench``'s worker keeps every operation until it reads the peak RSS,
-so a faster ``stats_mix`` reads a higher ``peak_rss_mb``.
+The float path (``_lag``, one integrand call per panel, ``_float_stats``)
+serves what is left: finite windows (``variance_count``), windowed
+zero-level statistics (``zero_level_stats`` with T) and the fallback of a
+long-time row that raised; it is also the reference the array path is
+tested against.  Moving windows onto the array path, like a faster float
+``_horner``, waits for a benchmark that no longer couples throughput and
+memory (ROADMAP item 1): ``perfbench``'s worker keeps every operation until
+it reads the peak RSS, so a faster ``stats_mix`` reads a higher
+``peak_rss_mb``.  Moving the long-time zero-level statistics raised the
+median ``stats_mix`` ``peak_rss_mb`` by 1.4%; moving the windowed ones as
+well read +4.3%, too close to its 5% bound.
 """
 
 from __future__ import annotations
@@ -480,13 +486,28 @@ def _excess(kernel: Kernel, u, lag, total: bool, xp=_Floats):
     return pref * _bracket(alpha, beta, sqrt2_p * u / rp, total, xp) - product
 
 
-def _panel(kernel: Kernel, levels: np.ndarray, ts, total: bool) -> np.ndarray:
+def _zero_excess(kernel: Kernel, u, lag, total: bool, xp=_Floats):
+    """The body of ``_integrand_zero``, with ``_excess``' arguments; u (0, or a
+    column of zeros) is read only at weak-correlation lags (``_linearized``)."""
+    if isinstance(lag, KernelDerivatives):
+        return _linearized(kernel, u, lag, total, xp)
+    alpha, beta, _, _, rr_diff, _, _ = lag
+    ab = alpha * beta
+    a_ratio = xp.sqrt(alpha / beta)
+    angle = xp.atan((a_ratio - 1.0) / (a_ratio + 1.0)) if total else xp.atan(a_ratio)
+    bracket = 1.0 / xp.sqrt(ab) + (alpha - beta) / ab * angle
+    return bracket / ((2.0 if total else 8.0) * math.pi**2 * xp.sqrt(rr_diff)) - (
+        kernel.q0 / kernel.r0 / ((1.0 if total else 4.0) * math.pi**2)
+    )
+
+
+def _panel(kernel: Kernel, levels: np.ndarray, ts, total: bool, excess=_excess) -> np.ndarray:
     """Every level's excess at every lag ts, as a (levels, lags) array: the
     level-free work as arrays over the lags (``_lags``), then one array
-    expression per regime (weak-correlation lags and the rest)."""
+    expression per regime, ``_excess`` or the zero level's ``_zero_excess``."""
     values = np.empty((len(levels), len(ts)))
     for cols, lag in _lags(kernel, np.asarray(ts, dtype=float)):
-        values[:, cols] = _excess(kernel, levels, lag, total, _Arrays)
+        values[:, cols] = excess(kernel, levels, lag, total, _Arrays)
     return values
 
 
@@ -501,19 +522,8 @@ def integrand_total(kernel: Kernel, u: float, t: float) -> float:
 
 
 def _integrand_zero(kernel: Kernel, t: float, total: bool) -> float:
-    """Zero-level excess integrand, up or total: the dedicated arctan form,
-    and the weak-correlation expansion at weak lags."""
-    lag = _lag(kernel, t)
-    if isinstance(lag, KernelDerivatives):
-        return _linearized(kernel, 0.0, lag, total)
-    alpha, beta, _, _, rr_diff, _, _ = lag
-    ab = alpha * beta
-    a_ratio = math.sqrt(alpha / beta)
-    angle = math.atan((a_ratio - 1.0) / (a_ratio + 1.0)) if total else math.atan(a_ratio)
-    bracket = 1.0 / math.sqrt(ab) + (alpha - beta) / ab * angle
-    return bracket / ((2.0 if total else 8.0) * math.pi**2 * math.sqrt(rr_diff)) - (
-        kernel.q0 / kernel.r0 / ((1.0 if total else 4.0) * math.pi**2)
-    )
+    """Zero-level excess integrand at lag t, up or total (``_zero_excess``)."""
+    return _zero_excess(kernel, 0.0, _lag(kernel, t), total)
 
 
 # -- statistics ---------------------------------------------------------------
@@ -539,11 +549,13 @@ def mean_count(kernel: Kernel, u: float, T: float, mode=CrossingMode.UP) -> floa
 
 
 def _float_stats(kernel: Kernel, u: float, mode: CrossingMode, T: float | None,
-                 spec: QuadratureSpec | None) -> CrossingStats:
+                 spec: QuadratureSpec | None, excess=_excess) -> CrossingStats:
     """One level's statistics on the float path (``_lag``), one integrand call
-    per panel: windows, and the fallback of a long-time row that raised."""
-    integrand = integrand_total if mode is CrossingMode.TOTAL else integrand_up
-    f = pointwise(functools.partial(integrand, kernel, u))
+    per panel: windows, and the fallback of a long-time row that raised; for
+    ``excess=_zero_excess``, through ``_integrand_zero``."""
+    total = mode is CrossingMode.TOTAL
+    f = pointwise(functools.partial(_integrand_zero, kernel, total=total) if excess is _zero_excess
+                  else functools.partial(integrand_total if total else integrand_up, kernel, u))
     return _assemble(kernel, u, mode, T, lambda: _lag_integral(kernel, f, T, spec))
 
 
@@ -636,25 +648,32 @@ def variance_rate_asymptotic(
 
     ``u`` may also be a sequence of levels; the result is then a tuple with
     one ``CrossingStats`` per level, each equal to its single-level call.
-    The levels, a scalar as a row of one, are integrated in lockstep
-    (``_row``).  If that raises what a lag, the gate or the integrator raises
-    (``ArithmeticError`` or ``ValueError``), the float path (``_float_stats``)
-    computes them in order and raises for the first level to fail.
+    The levels, a scalar as a row of one, are integrated in lockstep; if
+    that raises, the float path computes them in order and raises for the
+    first level to fail (``_long_time``).
     """
     mode = _mode(mode)
     scalar = np.ndim(u) == 0
-    levels = (u,) if scalar else u
+    row = _long_time(kernel, (u,) if scalar else u, mode, spec)
+    return row[0] if scalar else row
+
+
+def _long_time(kernel: Kernel, levels, mode: CrossingMode, spec: QuadratureSpec | None,
+               excess=_excess) -> tuple:
+    """Long-time statistics as one row (``_row``).  If that raises what a lag,
+    the gate or the integrator raises (``ArithmeticError``, ``ValueError``),
+    the float path computes the levels in order and raises for the first to fail."""
     try:
-        row = _row(kernel, levels, mode, spec) if len(levels) else ()
+        return _row(kernel, levels, mode, spec, excess) if len(levels) else ()
     except (ArithmeticError, ValueError):
         # A lag, the gate or the integrator failed: the float path raises it
         # again for the first level it concerns; round 0 may have evaluated a
         # lag that no level asks for, and then it succeeds.
-        row = tuple(_float_stats(kernel, level, mode, None, spec) for level in levels)
-    return row[0] if scalar else row
+        return tuple(_float_stats(kernel, level, mode, None, spec, excess) for level in levels)
 
 
-def _row(kernel: Kernel, u, mode: CrossingMode, spec: QuadratureSpec | None) -> tuple:
+def _row(kernel: Kernel, u, mode: CrossingMode, spec: QuadratureSpec | None,
+         excess=_excess) -> tuple:
     """A row of levels integrated in lockstep, each on its own adaptive
     mesh: every round, one ``_panel`` call evaluates every live level at the
     lags of every panel that any level asks for and no earlier round gave
@@ -665,7 +684,7 @@ def _row(kernel: Kernel, u, mode: CrossingMode, spec: QuadratureSpec | None) -> 
     live = [i for i, level in enumerate(u) if mean_rate(kernel, level, mode) != 0.0]
     levels = np.array([u[i] for i in live], dtype=float)[:, None]
     results = dict(zip(live, _lag_integral(
-        kernel, lambda ts: _panel(kernel, levels, ts, total), None, spec, rows=len(live))))
+        kernel, lambda ts: _panel(kernel, levels, ts, total, excess), None, spec, rows=len(live))))
     return tuple(_assemble(kernel, level, mode, None, lambda i=i: results[i])
                  for i, level in enumerate(u))
 
@@ -687,15 +706,22 @@ def zero_level_stats(
     mode=CrossingMode.UP,
     spec: QuadratureSpec | None = None,
 ) -> CrossingStats:
-    """Zero-level statistics through the dedicated arctan-form integrands.
+    """Zero-level statistics through the dedicated arctan-form integrand.
 
     An independent cross-check path: it never touches erf or Owen's T, and
     shares only the weak-correlation expansion with the general path.
-    T=None computes the asymptotic rates, otherwise the finite-T variance.
+    T=None computes the asymptotic rates, as a row of one on the lockstep
+    driver with the float path as its fallback (``_long_time``), so value,
+    error, evaluation count and exceptions are the float path's.  With T it
+    computes the finite-T variance on the float path: windows move to the
+    driver once the benchmark's peak RSS no longer follows its throughput
+    (ROADMAP item 1), since moving these read +4.3% median ``stats_mix``
+    ``peak_rss_mb``, against +1.4% for the long-time ones and a 5% bound.
     """
     mode = _mode(mode)
-    zero = pointwise(functools.partial(_integrand_zero, kernel, total=mode is CrossingMode.TOTAL))
-    return _assemble(kernel, 0.0, mode, T, lambda: _lag_integral(kernel, zero, T, spec))
+    if T is None:
+        return _long_time(kernel, (0.0,), mode, spec, _zero_excess)[0]
+    return _float_stats(kernel, 0.0, mode, T, spec, _zero_excess)
 
 
 def _unit_kernel(family: str, shape: dict) -> Kernel:

@@ -5,6 +5,7 @@ are defined in levelcross.montecarlo and in this file before the closed
 forms are compared against them.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -42,6 +43,11 @@ from levelcross.quadrature import IntegrationError, QuadratureResult
 
 SDHO = make_sdho(1.0, 1.0, 1.0)
 SE = make_squared_exponential(1.0, 1.0)
+
+# The kernel families of the stats_mix benchmark workload.
+STATS_MIX = [make_sdho(1.0, 0.7, 1.0), make_sdho(1.0, 1.0, 1.0), make_sdho(1.0, 2.0, 1.0),
+             make_ou_mean_revert(1.0, 0.3, 1.0), make_squared_exponential(1.0, 1.0),
+             make_rational_quadratic(1.0, 1.0, 0.75), make_rational_quadratic(1.0, 1.0, 2.0)]
 
 
 class TestMeanRate:
@@ -222,6 +228,15 @@ class TestArrayPath:
         got = crossings._panel(kernel, np.array(levels)[:, None], ts, total).tolist()
         assert got == [[crossings._excess(kernel, u, lag, total) for lag in lags] for u in levels]
 
+    @pytest.mark.parametrize("total", [False, True])
+    def test_zero_level_panel_equals_float_calls(self, total):
+        # The arctan form over a panel: numpy's own arctan differs from
+        # math.atan in the last bit on some of these lags.
+        for kernel in STATS_MIX:
+            ts = np.geomspace(1e-6, 60.0, 2000) * kernel.tau_slow
+            got = crossings._panel(kernel, np.zeros((1, 1)), ts, total, crossings._zero_excess)
+            assert got.tolist() == [[crossings._integrand_zero(kernel, t, total) for t in ts.tolist()]]
+
 
 class _Overshoot(SquaredExponentialKernel):
     """r is 1.5 times the squared exponential's beyond t = 0.15, so
@@ -305,12 +320,7 @@ class TestLevelRow:
 
     LEVELS = (0.0, 0.5, -0.75, 0.5)  # a repeated and a negative level
 
-    # The kernel families of the stats_mix benchmark workload.
-    @pytest.mark.parametrize("kernel", [make_sdho(1.0, 0.7, 1.0), make_sdho(1.0, 1.0, 1.0),
-                                        make_sdho(1.0, 2.0, 1.0), make_ou_mean_revert(1.0, 0.3, 1.0),
-                                        make_squared_exponential(1.0, 1.0),
-                                        make_rational_quadratic(1.0, 1.0, 0.75),
-                                        make_rational_quadratic(1.0, 1.0, 2.0)], ids=repr)
+    @pytest.mark.parametrize("kernel", STATS_MIX, ids=repr)
     @pytest.mark.parametrize("mode", ["up", "total"])
     def test_row_equals_single_level_calls(self, kernel, mode):
         # Rows and scalar calls alike equal the float path, level by level.
@@ -392,8 +402,8 @@ class TestRowDriver:
         def integrand(k, u, t):
             return math.nan if (u, t) == (level, t_bad) else up(k, u, t)
 
-        def array_panel(k, levels, ts, total):
-            values = panel(k, levels, ts, total)
+        def array_panel(k, levels, ts, *form):
+            values = panel(k, levels, ts, *form)
             values[np.ix_(levels[:, 0] == level, np.asarray(ts) == t_bad)] = math.nan
             return values
 
@@ -433,8 +443,8 @@ class TestRowDriver:
         evaluated = []
         panel = crossings._panel
         with monkeypatch.context() as patch:
-            patch.setattr(crossings, "_panel", lambda k, lv, ts, total: evaluated.extend(ts.tolist())
-                          or panel(k, lv, ts, total))
+            patch.setattr(crossings, "_panel", lambda k, lv, ts, *form: evaluated.extend(ts.tolist())
+                          or panel(k, lv, ts, *form))
             variance_rate_asymptotic(kernel, self.LEVELS)
         spare = [t for t in evaluated if t not in asked]
         assert spare  # round 0 evaluates more than the levels ask for
@@ -627,6 +637,11 @@ class TestFano:
         assert dimensionless_fano(k, levels) == tuple(dimensionless_fano(k, psi) for psi in levels)
 
 
+def _float_zero(kernel, mode):
+    """The zero-level long-time statistics on the float path."""
+    return crossings._float_stats(kernel, 0.0, CrossingMode(mode), None, None, crossings._zero_excess)
+
+
 class TestZeroLevel:
     def test_matches_general_path(self):
         kernels = [make_sdho(1.0, 0.5, 1.0), SDHO, make_sdho(1.0, 2.5, 1.0),
@@ -641,10 +656,66 @@ class TestZeroLevel:
                 assert z.fano == pytest.approx(g.fano, rel=1e-10)
 
     def test_finite_horizon_variant(self):
-        for mode in ("up", "total"):
-            z = zero_level_stats(SDHO, 50.0, mode)
-            g = variance_count(SDHO, 0.0, 50.0, mode)
+        for kernel, mode, m in itertools.product(STATS_MIX, ("up", "total"), (3.0, 30.0, 100.0)):
+            z = zero_level_stats(kernel, m * kernel.tau_slow, mode)
+            g = variance_count(kernel, 0.0, m * kernel.tau_slow, mode)
             assert z.variance == pytest.approx(g.variance, rel=1e-10)
+
+    # A long-time zero-level statistic is a row of one on the lockstep driver,
+    # with the float path's value, error bar, evaluation count and exceptions.
+
+    @pytest.mark.parametrize("kernel", STATS_MIX, ids=repr)
+    @pytest.mark.parametrize("mode", ["up", "total"])
+    def test_row_of_one_equals_float_path(self, kernel, mode, monkeypatch):
+        def never(*args):
+            raise AssertionError("the float path was taken")
+
+        calls = []
+        original = crossings._panel
+        monkeypatch.setattr(crossings, "_panel", lambda *args: calls.append(args) or original(*args))
+        monkeypatch.setattr(crossings, "_float_stats", never)
+        monkeypatch.setattr(crossings, "_integrand_zero", never)
+        st = zero_level_stats(kernel, None, mode)
+        assert 1 <= len(calls) <= 5
+        assert all(args[1].tolist() == [[0.0]] and args[4] is crossings._zero_excess for args in calls)
+        monkeypatch.undo()
+        assert repr(st) == repr(_float_zero(kernel, mode))
+
+    @pytest.mark.parametrize("mode", ["up", "total"])
+    def test_failing_lag_the_level_never_asks_for_keeps_the_result(self, mode, monkeypatch):
+        # A round-0 stub lag that the float path never evaluates: the row
+        # raises there, and the float path gives the statistic.
+        kernel = make_ou_mean_revert(1.0, 0.3, 1.0)
+        expected = repr(_float_zero(kernel, mode))
+        asked, evaluated = [], []
+        zero, panel = crossings._integrand_zero, crossings._panel
+        with monkeypatch.context() as patch:
+            patch.setattr(crossings, "_integrand_zero",
+                          lambda k, t, total: asked.append(t) or zero(k, t, total))
+            _float_zero(kernel, mode)
+            patch.setattr(crossings, "_panel", lambda k, lv, ts, *form: evaluated.extend(ts.tolist())
+                          or panel(k, lv, ts, *form))
+            zero_level_stats(kernel, None, mode)
+        spare = [t for t in evaluated if t not in set(asked)]
+        assert spare  # round 0 evaluates more than the level asks for
+
+        def array_panel(k, levels, ts, *form):
+            values = panel(k, levels, ts, *form)
+            values[:, np.asarray(ts) == spare[0]] = math.nan
+            return values
+
+        monkeypatch.setattr(crossings, "_panel", array_panel)
+        with pytest.raises(IntegrationError):
+            crossings._row(kernel, (0.0,), CrossingMode(mode), None, crossings._zero_excess)
+        assert repr(zero_level_stats(kernel, None, mode)) == expected
+
+    @pytest.mark.parametrize("mode", ["up", "total"])
+    def test_degenerate_lag_raises_float_path_error(self, mode):
+        kernel = _Overshoot(1.0, 1.0)
+        expected = _raised(lambda: _float_zero(kernel, mode))
+        assert expected[0] is crossings.DegenerateLagError
+        assert expected[1].startswith("r0^2 - r^2 = -1.1288")
+        assert _raised(lambda: zero_level_stats(kernel, None, mode)) == expected
 
 
 class TestDimensionless:
