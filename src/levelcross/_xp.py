@@ -7,7 +7,7 @@ and :mod:`levelcross.crossings` are written in, so that each formula is
 written once and takes either Python floats (``xp=_Floats``, one value,
 through :mod:`math`) or numpy arrays (``xp=_Arrays``), with the same bits in
 every element: numpy's + - * / and square root round as Python's do, while
-exp, erf, arctan, the hyperbolic and circular functions and powers go element
+exp, expm1, log1p, erf, arctan, the circular functions and cubes go element
 by element through the same functions as the float path.
 """
 
@@ -30,16 +30,12 @@ def _each(fn):
 class _Floats:
     """The elementary operations on Python floats: one value."""
 
-    exp, expm1, cosh, sinh, cos, sin = math.exp, math.expm1, math.cosh, math.sinh, math.cos, math.sin
+    exp, expm1, log1p, cos, sin = math.exp, math.expm1, math.log1p, math.cos, math.sin
     atan, sqrt, erf, stack = math.atan, math.sqrt, erf, np.array
 
     @staticmethod
     def cube(x):
         return x**3
-
-    @staticmethod
-    def pow(x, e):
-        return x**e
 
     @staticmethod
     def select(cond, if_true, if_false, *args):
@@ -58,13 +54,9 @@ class _Arrays:
     """The same operations, element by element, on arrays: many values.  Each
     element equals the float path's value bit for bit."""
 
-    exp, expm1, cosh, sinh, cos, sin, atan = map(
-        _each, (math.exp, math.expm1, math.cosh, math.sinh, math.cos, math.sin, math.atan))
+    exp, expm1, log1p, cos, sin, atan = map(
+        _each, (math.exp, math.expm1, math.log1p, math.cos, math.sin, math.atan))
     erf, cube, sqrt = _each(erf), _each(_Floats.cube), np.sqrt
-
-    @staticmethod
-    def pow(x, e):
-        return _each(lambda v: v**e)(x)
 
     @staticmethod
     def stack(parts):

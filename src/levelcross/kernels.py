@@ -6,12 +6,16 @@ Autocorrelation kernels for the smooth stationary Gaussian processes the
 crossing statistics operate on.  Three model families are built in:
 
 * ``sdho``  -- position of a stochastically driven damped harmonic
-  oscillator, in one closed form whose circular or hyperbolic pair of
-  functions is picked from the damping ratio once per kernel;
+  oscillator;
 * ``ou_mean_revert`` -- a mean-reverting observable driven by
-  Ornstein-Uhlenbeck noise (bi-exponential correlation), evaluated in a
-  cancellation-free form that remains exact as the two timescales merge;
+  Ornstein-Uhlenbeck noise (bi-exponential correlation);
 * ``rational_quadratic`` and its large-shape limit ``squared_exponential``.
+
+The two model systems are one bi-exponential family at and above critical
+damping (``map_ou_to_sdho``): both evaluate it, and its series, in one
+cancellation-free form, ``_two_rates``, exact as the two rates merge or
+part.  Below critical damping the oscillator takes a circular form
+instead; the form is picked from the damping ratio once per kernel.
 
 Every kernel evaluates (r(t), r'(t), -r''(t)) in closed form -- no numeric
 differentiation -- and carries a one-sided Taylor expansion of r about
@@ -21,9 +25,9 @@ evaluation of the crossing parameters.
 Each family's closed form is written once, in the operations of
 :mod:`levelcross._xp`, and serves ``Kernel.eval`` (one lag, Python floats)
 and ``Kernel.eval_array`` (a 1-D array of lags) alike; every element of an
-array evaluation has the bits of ``eval`` at that lag.  On arrays a branch
-(the deep overdamped split, the oscillator's t = 0 point) is picked by
-mask, and each branch sees only its own lags.
+array evaluation has the bits of ``eval`` at that lag.  On arrays the one
+branch within a kernel, the underdamped oscillator's t = 0 point, is
+picked by mask.
 """
 
 from __future__ import annotations
@@ -150,22 +154,55 @@ def _trig_pair(xp, s):
     return xp.cos(s), xp.sin(s) / s
 
 
-def _hyperbolic_pair(xp, s):
-    return xp.cosh(s), xp.sinh(s) / s
-
-
 def _unit_pair(xp, s):
     return 1.0, 1.0
 
 
-class SdhoKernel(Kernel):
-    """Damped-harmonic-oscillator position autocorrelation.
+def _two_rates(xp, t, amp, slow, gap):
+    """(r, p, q) of r(t) = amp e^{-slow t} (1 - (slow/gap) expm1(-gap t)).
 
-    With s = w sqrt|zeta^2-1| t, r(t) = A e^{-zeta w t}(C + zeta w t S), where
-    (C, S) is (cos s, sin s / s) below critical damping, (cosh s, sinh s / s)
-    above it, and (1, 1) at zeta = 1 and at t = 0: the pair is picked from
-    zeta once per kernel.  Above critical damping and past s = 20 the form
-    is split into its two decaying exponentials, as cosh would overflow.
+    This is the correlation amp (fast e^{-slow t} - slow e^{-fast t})/gap of
+    the two decay rates slow and fast = slow + gap, with gap >= 0, written
+    without their difference: with g = (1 - e^{-gap t})/gap in [0, t] (t at
+    gap = 0), r = amp e^{-slow t}(1 + slow g), p = -amp slow fast g e^{-slow t}
+    and q = amp slow fast e^{-slow t}(e^{-gap t} - slow g), so nothing
+    cancels but q at its sign change, and no exponent is positive.
+    """
+    fast = slow + gap
+    decay = xp.exp(-slow * t)
+    if gap > 0.0:
+        em = xp.expm1(-gap * t)
+        g = -em / gap
+    else:
+        em, g = 0.0, t
+    r = amp * decay * (1.0 + slow * g)
+    p = -amp * slow * fast * g * decay
+    q = amp * slow * fast * decay * (1.0 + em - slow * g)
+    return r, p, q
+
+
+def _two_rates_taylor(amp, slow, gap) -> np.ndarray:
+    """The series of ``_two_rates``'s r: a_0 = amp, a_1 = 0 and, for k >= 2,
+    a_k = (-1)^{k+1} amp slow fast h_{k-2}/k! with the sum of positive terms
+    h_m = sum_j slow^j fast^{m-j}, so no coefficient cancels."""
+    fast = slow + gap
+    coeffs = np.zeros(_TAYLOR_ORDER)
+    coeffs[0] = amp
+    h = 1.0
+    for k in range(2, _TAYLOR_ORDER):
+        coeffs[k] = (-1.0) ** (k + 1) * amp * slow * fast * h / math.factorial(k)
+        h = fast * h + slow ** (k - 1)
+    return coeffs
+
+
+class SdhoKernel(Kernel):
+    """Damped-harmonic-oscillator position autocorrelation, A = theta/w^2.
+
+    At and above critical damping r(t) is ``_two_rates`` of the decay rates
+    w/(zeta + sqrt(zeta^2-1)) and w (zeta + sqrt(zeta^2-1)), whose gap is
+    2 w sqrt(zeta^2-1).  Below it, with s = w sqrt(1-zeta^2) t,
+    r(t) = A e^{-zeta w t}(cos s + zeta w t sin s / s), with 1 for sin s / s
+    at t = 0.  The form is picked from zeta once per kernel.
     """
 
     family = "sdho"
@@ -181,56 +218,44 @@ class SdhoKernel(Kernel):
         self.theta = theta
         self.r0 = theta / omega0**2
         self.q0 = theta
-        if zeta > 1.0:
-            self.tau_slow = 1.0 / (omega0 * (zeta - math.sqrt(zeta * zeta - 1.0)))
-        else:
-            self.tau_slow = 1.0 / (zeta * omega0)
         self.tau_fast = 1.0 / omega0
         self.shape = {"zeta": zeta}
-        self._rate = omega0 * math.sqrt(abs(zeta * zeta - 1.0))  # s = _rate * t
-        self._pair = _trig_pair if zeta < 1.0 else _hyperbolic_pair
-        self._split_above = 20.0 if zeta > 1.0 else math.inf
+        if zeta >= 1.0:
+            root = math.sqrt((zeta - 1.0) * (zeta + 1.0))
+            self._rates = (self.r0, omega0 / (zeta + root), 2.0 * omega0 * root)
+            self.tau_slow = 1.0 / self._rates[1]
+        else:
+            self._rates = None
+            self._omega_d = omega0 * math.sqrt(1.0 - zeta * zeta)  # s = _omega_d * t
+            self.tau_slow = 1.0 / (zeta * omega0)
 
     @property
     def series_scale(self) -> float:
-        # Taylor convergence is set by the fastest exponential root,
-        # omega0 * (zeta + sqrt(zeta^2 - 1)) when overdamped.
-        z = self.zeta
-        fast_root = max(1.0, z + math.sqrt(max(z * z - 1.0, 0.0)))
-        return 1.0 / (self.omega0 * fast_root)
+        # Taylor convergence is set by the fastest exponential rate,
+        # w (zeta + sqrt(zeta^2 - 1)) at and above critical damping.
+        if self._rates is None:
+            return self.tau_fast
+        _, slow, gap = self._rates
+        return 1.0 / (slow + gap)
 
     def _rpq(self, t, xp=_Floats):
+        if self._rates is not None:
+            return _two_rates(xp, t, *self._rates)
         w = self.omega0
         z = self.zeta
-        s = self._rate * t
-        r, p = xp.select(s > self._split_above, self._split, self._pair_form, t, s)
+        amp = self.r0
+        s = self._omega_d * t
+        c, sv = xp.select(s > 0.0, _trig_pair, _unit_pair, s)
+        decay = xp.exp(-z * w * t)
+        r = amp * decay * (c + z * w * t * sv)
+        p = -amp * w * w * t * decay * sv
         # r solves r'' + 2 zeta w r' + w^2 r = 0 for t > 0.
         q = 2.0 * z * w * p + w * w * r
         return r, p, q
 
-    def _split(self, xp, t, s):
-        # r as its two exponentials, both with negative exponents.
-        w = self.omega0
-        z = self.zeta
-        amp = self.r0
-        k = math.sqrt(z * z - 1.0)
-        e_slow = xp.exp(-w * (z - k) * t)
-        e_fast = xp.exp(-w * (z + k) * t)
-        r = 0.5 * amp * ((1.0 + z / k) * e_slow + (1.0 - z / k) * e_fast)
-        p = -amp * w * w * (e_slow - e_fast) / (2.0 * self._rate)
-        return r, p
-
-    def _pair_form(self, xp, t, s):
-        w = self.omega0
-        z = self.zeta
-        amp = self.r0
-        c, sv = xp.select(s > 0.0, self._pair, _unit_pair, s)
-        decay = xp.exp(-z * w * t)
-        r = amp * decay * (c + z * w * t * sv)
-        p = -amp * w * w * t * decay * sv
-        return r, p
-
     def _taylor_coefficients(self) -> np.ndarray:
+        if self._rates is not None:
+            return _two_rates_taylor(*self._rates)
         w = self.omega0
         z = self.zeta
         w2 = w * w * (z * z - 1.0)
@@ -247,11 +272,10 @@ class OuMeanRevertKernel(Kernel):
     """Mean-reverting observable driven by Ornstein-Uhlenbeck noise.
 
     r_y(t) = sigma^2 kappa/(1-kappa^2) (e^{-t/tau_e} - kappa e^{-t/(kappa tau_e)}),
-    kappa = tau_f/tau_e, rewritten exactly as
-    r_y(t) = B e^{-t/tau_e} (1 + (1 - e^{-c t})/(c tau_e)),
-    B = sigma^2 kappa/(1+kappa), c = (1-kappa)/(kappa tau_e),
-    which has no 0/0 as kappa -> 1 (the expm1-based evaluation is uniformly
-    accurate, so no guard threshold is required).
+    kappa = tau_f/tau_e: the bi-exponential of the rates 1/tau_slow and
+    1/tau_fast with r(0) = sigma^2 kappa/(1+kappa), evaluated as
+    ``_two_rates``, which has no 0/0 as kappa -> 1 and no growing exponential
+    on either side of it, so no guard threshold is required.
     """
 
     family = "ou_mean_revert"
@@ -269,44 +293,13 @@ class OuMeanRevertKernel(Kernel):
         self.tau_slow = max(tau_f, tau_e)
         self.tau_fast = min(tau_f, tau_e)
         self.shape = {"kappa": self.kappa}
+        self._rates = (self.r0, 1.0 / self.tau_slow, 1.0 / self.tau_fast - 1.0 / self.tau_slow)
 
     def _rpq(self, t, xp=_Floats):
-        te = self.tau_e
-        kappa = self.kappa
-        big = self.r0
-        if abs(1.0 - kappa) > 1e-3:
-            # Plain bi-exponential; no cancellation away from kappa = 1 and
-            # no overflow risk (the stable form's expm1 grows for kappa > 1).
-            coef = self.sigma**2 * kappa / (1.0 - kappa * kappa)
-            l1 = 1.0 / te
-            l2 = 1.0 / self.tau_f
-            e1 = xp.exp(-l1 * t)
-            e2 = xp.exp(-l2 * t)
-            r = coef * (e1 - kappa * e2)
-            p = coef * (-l1 * e1 + kappa * l2 * e2)
-            rpp = coef * (l1 * l1 * e1 - kappa * l2 * l2 * e2)
-            return r, p, -rpp
-        c = (1.0 - kappa) / (kappa * te)
-        decay = xp.exp(-t / te)
-        ct = c * t
-        g_extra = (-xp.expm1(-ct) / (c * te)) if c != 0.0 else t / te
-        g = 1.0 + g_extra
-        gp = xp.exp(-ct) / te
-        gpp = -c * gp
-        r = big * decay * g
-        p = big * decay * (gp - g / te)
-        rpp = big * decay * (gpp - 2.0 * gp / te + g / (te * te))
-        return r, p, -rpp
+        return _two_rates(xp, t, *self._rates)
 
     def _taylor_coefficients(self) -> np.ndarray:
-        te = self.tau_e
-        c = (1.0 - self.kappa) / (self.kappa * te)
-        exp_c = np.array([(-1.0 / te) ** k / math.factorial(k) for k in range(_TAYLOR_ORDER)])
-        g_c = np.zeros(_TAYLOR_ORDER)
-        g_c[0] = 1.0
-        for k in range(1, _TAYLOR_ORDER):
-            g_c[k] = (-1.0) ** (k + 1) * c ** (k - 1) / (math.factorial(k) * te)
-        return self.r0 * np.convolve(exp_c, g_c)[:_TAYLOR_ORDER]
+        return _two_rates_taylor(*self._rates)
 
 
 class RationalQuadraticKernel(Kernel):
@@ -327,12 +320,18 @@ class RationalQuadraticKernel(Kernel):
         self.tau_fast = tau
         self.shape = {"alpha_shape": alpha_shape}
 
+    @property
+    def series_scale(self) -> float:
+        # The series in t^2/(2 alpha tau^2) converges for t < tau sqrt(2 alpha).
+        return self.tau * min(1.0, math.sqrt(2.0 * self.alpha_shape))
+
     def _rpq(self, t, xp=_Floats):
         a = self.alpha_shape
         tau2 = self.tau * self.tau
         s2 = self.sigma * self.sigma
-        base = 1.0 + t * t / (2.0 * a * tau2)
-        pw = xp.pow(base, -a)
+        x = t * t / (2.0 * a * tau2)
+        base = 1.0 + x
+        pw = xp.exp(-a * xp.log1p(x))  # base^{-a}, from x rather than the rounded base
         r = s2 * pw
         # r' = -sigma^2 (t/tau^2) base^{-a-1}
         p = -s2 * (t / tau2) * pw / base

@@ -68,6 +68,13 @@ class TestStats:
         assert [doc[k] for k in ("mean_rate", "var_rate", "fano", "quad_error", "converged")] == [
             0.0, 0.0, None, 0.0, True]
 
+    def test_damping_past_double_precision(self, capsys):
+        # zeta^2 - 1 rounds to zeta^2 at zeta = 1e8: the kernel is built, and
+        # the statistic converges or exits with a one-line message.
+        code, _, err = run(capsys, "stats", "--kernel", "sdho", "--zeta", "1e8")
+        assert code in (EXIT_OK, EXIT_NUMERIC)
+        assert len(err.splitlines()) == (code == EXIT_NUMERIC) and "Traceback" not in err
+
     def test_horizon_block(self, capsys):
         code, out, _ = run(capsys, "stats", "--kernel", "sdho", "--u", "0.5",
                            "--horizon", "50", "--json")

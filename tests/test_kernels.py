@@ -87,6 +87,20 @@ class TestDerivativeConsistency:
             for t in (1e-4 * k.tau_slow, 1e-3 * k.tau_slow):
                 series = sum(c * t ** j for j, c in enumerate(coeffs))
                 assert series == pytest.approx(k.eval(t).r, rel=1e-10)
+        # At the switch lag, below which the statistics take the series, its
+        # r, p and q agree with eval's within 1e-14 of r0, sqrt(r0 q0) and q0:
+        # rq below alpha = 0.5 has a series radius under tau, and the
+        # strongly overdamped oscillator's coefficients once cancelled.
+        for k in [*ALL_KERNELS, *(make_rational_quadratic(1.0, 1.0, a) for a in (0.004, 0.02, 0.1, 0.3)),
+                  make_sdho(1.0, 25.0, 1.0), make_sdho(1.0, 100.0, 1.0)]:
+            t = 0.1 * k.series_scale
+            a = k.taylor
+            series = (sum(c * t**j for j, c in enumerate(a)),
+                      sum(j * c * t ** (j - 1) for j, c in enumerate(a) if j >= 1),
+                      -sum(j * (j - 1) * c * t ** (j - 2) for j, c in enumerate(a) if j >= 2))
+            scales = (k.r0, math.sqrt(k.r0 * k.q0), k.q0)
+            for name, value, want, scale in zip("rpq", series, k.eval(t), scales):
+                assert abs(value - want) <= 1e-14 * scale, (k, name)
 
 
 class TestBranchesAndLimits:
@@ -109,6 +123,18 @@ class TestBranchesAndLimits:
         d = k.eval(50.0 * k.tau_slow)
         assert math.isfinite(d.r) and math.isfinite(d.q)
 
+    @pytest.mark.parametrize("zeta", [1e4, 1e6, 1e7])
+    def test_very_large_damping_tau_slow(self, zeta):
+        # tau_slow = (zeta + sqrt(zeta^2 - 1))/w, not 1/(w (zeta - sqrt(zeta^2 - 1))).
+        with mp.workdps(40):
+            want = float(zeta + mp.sqrt(mp.mpf(zeta) ** 2 - 1))
+        assert abs(make_sdho(1.0, zeta, 1.0).tau_slow - want) <= 4.0 * math.ulp(want)
+
+    def test_damping_past_double_precision_constructs(self):
+        # zeta^2 - 1 rounds to zeta^2: the slow rate is still w/(2 zeta), not 1/0.
+        k = make_sdho(1.0, 1e8, 1.0)
+        assert k.tau_slow == 2e8 and math.isfinite(k.eval(k.tau_slow).r)
+
     def test_rq_large_shape_approaches_se(self):
         rq = make_rational_quadratic(1.0, 1.0, 1e6)
         se = make_squared_exponential(1.0, 1.0)
@@ -125,41 +151,66 @@ class TestBranchesAndLimits:
             assert b.q == pytest.approx(a.q, rel=1e-10, abs=1e-12)
 
 
-def sdho_reference(kernel, t):
-    """(r, p, q) of the oscillator from its two exponentials, in mpmath.
-
-    With roots l+- = w (zeta +- sqrt(zeta^2 - 1)), complex below critical
-    damping, r = A (l+ e^{-l- t} - l- e^{-l+ t}) / (l+ - l-).  Critical
-    damping is taken 1e-40 above zeta = 1, far below double precision.
-    """
-    with mp.workdps(50):
-        w, z, t = mp.mpf(kernel.omega0), mp.mpf(kernel.zeta), mp.mpf(t)
-        if z == 1:
-            z += mp.mpf(10) ** -40
-        root = mp.sqrt(mp.mpc(z * z - 1))
-        fast, slow = w * (z + root), w * (z - root)
-        e_fast, e_slow = mp.exp(-fast * t), mp.exp(-slow * t)
-        scale = mp.mpf(kernel.r0) / (fast - slow)
-        r = scale * (fast * e_slow - slow * e_fast)
-        p = scale * fast * slow * (e_fast - e_slow)
-        q = scale * fast * slow * (fast * e_fast - slow * e_slow)
-        return tuple(float(mp.re(v)) for v in (r, p, q))
+def _two_rate_reference(amp, slow, fast, t):
+    """(r, p, q) of amp (fast e^{-slow t} - slow e^{-fast t})/(fast - slow),
+    or of its limit amp e^{-slow t}(1 + slow t) at fast = slow."""
+    e_slow, e_fast = mp.exp(-slow * t), mp.exp(-fast * t)
+    if fast == slow:
+        return (amp * e_slow * (1 + slow * t), -amp * slow * slow * t * e_slow,
+                amp * slow * slow * e_slow * (1 - slow * t))
+    scale = amp / (fast - slow)
+    return (scale * (fast * e_slow - slow * e_fast), scale * fast * slow * (e_fast - e_slow),
+            scale * fast * slow * (fast * e_fast - slow * e_slow))
 
 
-class TestSdhoAgainstMpmath:
-    @pytest.mark.parametrize("zeta", [0.3, 0.7, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 2.0, 3.0, 25.0])
-    def test_rpq_within_1e13(self, zeta):
-        kernel = make_sdho(1.3, zeta, 0.7)
+def mpmath_reference(kernel, t):
+    """(r, p, q) of a kernel at lag t from its parameters, analytically in
+    mpmath at 60 digits.  Both rates of the oscillator are complex below
+    critical damping; at critical damping and at kappa = 1 the limit form is
+    taken, so no perturbed parameter meets a cancelling reference."""
+    with mp.workdps(60):
+        t = mp.mpf(t)
+        par = {name: mp.mpf(value) for name, value in kernel.params.items()}
+        if kernel.family == "sdho":
+            w, z = par["omega0"], par["zeta"]
+            root = mp.sqrt(mp.mpc(z * z - 1))
+            rpq = _two_rate_reference(par["theta"] / (w * w), w * (z - root), w * (z + root), t)
+        elif kernel.family == "ou_mean_revert":
+            tf, te = par["tau_f"], par["tau_e"]
+            amp = par["sigma"] ** 2 * tf / (tf + te)
+            rpq = _two_rate_reference(amp, 1 / max(tf, te), 1 / min(tf, te), t)
+        elif kernel.family == "rational_quadratic":
+            s2, tau2, a = par["sigma"] ** 2, par["tau"] ** 2, par["alpha_shape"]
+            base = 1 + t * t / (2 * a * tau2)
+            rpq = (s2 * base**-a, -s2 * t / tau2 * base ** (-a - 1),
+                   s2 / tau2 * base ** (-a - 2) * (base - (a + 1) * t * t / (a * tau2)))
+        else:
+            s2, tau2 = par["sigma"] ** 2, par["tau"] ** 2
+            r = s2 * mp.exp(-t * t / (2 * tau2))
+            rpq = (r, -r * t / tau2, r * (1 / tau2 - t * t / (tau2 * tau2)))
+        return tuple(float(mp.re(v)) for v in rpq)
+
+
+MPMATH_KERNELS = [
+    *(pytest.param(make_ou_mean_revert(1.3, 0.8 * kappa, 0.8), id=f"ou kappa={kappa!r}")
+      for kappa in (0.01, 0.3, 0.998, 1.0, 1.002, 3.0, 100.0)),
+    *(pytest.param(make_rational_quadratic(1.2, 0.9, a), id=f"rq alpha={a!r}")
+      for a in (0.1, 0.75, 2.0, 50.0, 1e4)),
+    pytest.param(make_squared_exponential(1.1, 0.7), id="se"),
+    *(pytest.param(make_sdho(1.3, z, 0.7), id=f"sdho zeta={z!r}")
+      for z in (0.3, 0.7, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 2.0, 3.0, 25.0, 100.0)),
+]
+
+
+class TestKernelsAgainstMpmath:
+    @pytest.mark.parametrize("kernel", MPMATH_KERNELS)
+    def test_rpq_within_1e15(self, kernel):
         lags = [0.0, *(np.geomspace(1e-6, 40.0, 80) * kernel.tau_slow).tolist()]
-        if zeta != 1.0:
-            # s = 20 ends the hyperbolic form above critical damping.
-            at_20 = 20.0 / (kernel.omega0 * math.sqrt(abs(zeta * zeta - 1.0)))
-            lags += [at_20 * (1.0 - 1e-9), at_20 * (1.0 + 1e-9), 0.9 * at_20, 1.1 * at_20]
         scales = (kernel.r0, math.sqrt(kernel.r0 * kernel.q0), kernel.q0)
         for t in lags:
             got = kernel.eval(t)
-            for name, value, want, scale in zip("rpq", got, sdho_reference(kernel, t), scales):
-                assert abs(value - want) <= 1e-13 * scale, (name, t)
+            for name, value, want, scale in zip("rpq", got, mpmath_reference(kernel, t), scales):
+                assert abs(value - want) <= 1e-15 * scale, (name, t)
 
 
 class TestValidation:
@@ -219,6 +270,9 @@ class TestArrayEvaluation:
         make_ou_mean_revert(1.0, 1.0 + 5e-4, 1.0), make_ou_mean_revert(1.0, 1.0 - 5e-4, 1.0),
         make_ou_mean_revert(1.2, 0.05, 1.0), make_rational_quadratic(1.0, 1.0, 0.75),
         make_squared_exponential(1.0, 1.0),
+        make_ou_mean_revert(1.0, 1.0, 1.0), make_ou_mean_revert(1.0, 100.0, 1.0),
+        pytest.param(make_sdho(1.0, 1.0 + 1e-6, 1.0), id="SdhoKernel(omega0=1, zeta=1+1e-6, theta=1)"),
+        make_sdho(1.0, 100.0, 1.0), make_rational_quadratic(1.0, 1.0, 1e4),
     ], ids=repr)
     def test_matches_eval_bit_for_bit(self, kernel):
         got = kernel.eval_array(self.LAGS)
@@ -226,17 +280,20 @@ class TestArrayEvaluation:
         assert np.array(got).tobytes() == want.tobytes()
 
     def test_lags_reach_every_branch(self):
-        for kernel, branches in ((make_sdho(1.0, 0.3, 1.0), ("s = 0", "trig")),
-                                 (make_sdho(1.0, 1.0, 1.0), ("s = 0",)),
-                                 (make_sdho(1.3, 3.0, 0.7), ("s = 0", "hyperbolic", "split"))):
-            # s = w sqrt|zeta^2 - 1| t and the sign of zeta - 1 pick the sdho branch.
-            s = kernel.omega0 * math.sqrt(abs(kernel.zeta**2 - 1.0)) * self.LAGS
-            z = kernel.zeta
-            reached = {"s = 0": s == 0.0, "trig": (s > 0.0) & (z < 1.0),
-                       "hyperbolic": (s > 0.0) & (s <= 20.0) & (z > 1.0), "split": (s > 20.0) & (z > 1.0)}
-            assert {name for name, mask in reached.items() if mask.any()} == set(branches)
-        assert [abs(1.0 - k.kappa) <= 1e-3 for k in (make_ou_mean_revert(1.0, 1.0 + 5e-4, 1.0),
-                                                    make_ou_mean_revert(1.2, 0.05, 1.0))] == [True, False]
+        # The underdamped oscillator's circular pair is (1, 1) at s = 0 and
+        # trigonometric past it; the two-rate form of ou and of the oscillator
+        # at and above critical damping has a rate gap or none.
+        for kernel, branches in ((make_sdho(1.0, 0.3, 1.0), {"s = 0", "trig"}),
+                                 (make_sdho(1.0, 1.0, 1.0), {"gap = 0"}),
+                                 (make_sdho(1.3, 3.0, 0.7), {"gap > 0"}),
+                                 (make_ou_mean_revert(1.0, 1.0, 1.0), {"gap = 0"}),
+                                 (make_ou_mean_revert(1.2, 0.05, 1.0), {"gap > 0"})):
+            if kernel._rates is not None:
+                reached = {"gap > 0" if kernel._rates[2] > 0.0 else "gap = 0"}
+            else:
+                s = kernel._omega_d * self.LAGS
+                reached = {name for name, mask in (("s = 0", s == 0.0), ("trig", s > 0.0)) if mask.any()}
+            assert reached == branches, kernel
 
     def test_negative_lag_raises(self):
         kernel = make_squared_exponential(1.0, 1.0)
