@@ -41,6 +41,12 @@ EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 EXIT_STATISTICAL = 3
 
+# What a computation raises on a kernel it cannot handle: ArithmeticError
+# covers the products and quotients of extreme finite parameters that leave
+# the float range mid-computation.
+_NUMERIC_ERRORS = (cr.ValidityError, cr.NegativeVarianceError, cr.DegenerateLagError,
+                   IntegrationError, ArithmeticError)
+
 # Flag-level parameter schema per kernel family, in constructor order.
 _FAMILY_PARAMS = {
     "sdho": ("omega0", "zeta", "theta"),
@@ -312,8 +318,7 @@ def _grid(family: str, axes) -> list[dict]:
     return points
 
 
-_POINT_ERRORS = (cr.ValidityError, cr.NegativeVarianceError, cr.DegenerateLagError,
-                 IntegrationError, kn.KernelError, ArithmeticError)
+_POINT_ERRORS = (*_NUMERIC_ERRORS, kn.KernelError)
 
 
 def _sweep_kernel(task):
@@ -667,8 +672,7 @@ def main(argv=None) -> int:
     except (UsageError, kn.KernelError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
-    except (cr.ValidityError, cr.NegativeVarianceError, cr.DegenerateLagError,
-            IntegrationError) as exc:
+    except _NUMERIC_ERRORS as exc:
         sys.stderr.write(f"numeric error: {exc}\n")
         return EXIT_NUMERIC
 

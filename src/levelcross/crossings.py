@@ -463,10 +463,10 @@ def _linearized(kernel: Kernel, u, d, total: bool, xp=_Floats):
     rho, kap, pi2, v2 = d.r / r0, d.q / q0, d.p * d.p / (r0 * q0), u * u / r0
     c = xp.stack([
         0.5 * (rho * rho + kap * kap) + pi2
-        + v2 * (rho - rho * rho + xp.cube(rho) + pi2 * (2.0 * rho - 1.0 - kap)),
+        + v2 * (rho - rho * rho + rho * rho * rho + pi2 * (2.0 * rho - 1.0 - kap)),
         -d.p * u / (r0 * math.sqrt(q0)) * (1.0 + kap + kap * kap - rho - kap * rho + rho * rho + pi2),
         -0.5 * (kap * kap + pi2),
-        kap + xp.cube(kap) + pi2 * (2.0 * kap - rho),
+        kap + kap * kap * kap + pi2 * (2.0 * kap - rho),
     ])
     return q0 / r0 * xp.exp(-v2) / (2.0 * math.pi) * _weak_sum(c, total)
 

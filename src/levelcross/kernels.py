@@ -25,9 +25,8 @@ evaluation of the crossing parameters.
 Each family's closed form is written once, in the operations of
 :mod:`levelcross._xp`, and serves ``Kernel.eval`` (one lag, Python floats)
 and ``Kernel.eval_array`` (a 1-D array of lags) alike; every element of an
-array evaluation has the bits of ``eval`` at that lag.  On arrays the one
-branch within a kernel, the underdamped oscillator's t = 0 point, is
-picked by mask.
+array evaluation has the bits of ``eval`` at that lag.  No closed form
+branches on the lag: each is one expression, t = 0 included.
 """
 
 from __future__ import annotations
@@ -121,6 +120,14 @@ class Kernel(ABC):
         r, p, q = self._rpq(t, _Arrays)
         return KernelDerivatives(r, p, q, t)
 
+    def _check_scales(self) -> None:
+        """KernelError unless r0, q0, tau_slow and tau_fast are floats > 0:
+        finite parameters whose squares or ratios leave the float range."""
+        for name in ("r0", "q0", "tau_slow", "tau_fast"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise KernelError(f"{self!r} gives {name} = {value}; it must be finite and > 0")
+
     @abstractmethod
     def _rpq(self, t, xp=_Floats) -> tuple:
         """(r, p, q) at t: floats, or arrays with ``xp=_Arrays``."""
@@ -150,12 +157,9 @@ def _negative_lag(t: float) -> KernelError:
     return KernelError(f"lag must be >= 0 (got {t}); use r(-t) = r(t) explicitly")
 
 
-def _trig_pair(xp, s):
-    return xp.cos(s), xp.sin(s) / s
-
-
-def _unit_pair(xp, s):
-    return 1.0, 1.0
+def _over(num: float, den: float) -> float:
+    """num/den for den >= 0, inf where den underflowed to 0."""
+    return num / den if den > 0.0 else math.inf
 
 
 def _two_rates(xp, t, amp, slow, gap):
@@ -200,9 +204,10 @@ class SdhoKernel(Kernel):
 
     At and above critical damping r(t) is ``_two_rates`` of the decay rates
     w/(zeta + sqrt(zeta^2-1)) and w (zeta + sqrt(zeta^2-1)), whose gap is
-    2 w sqrt(zeta^2-1).  Below it, with s = w sqrt(1-zeta^2) t,
-    r(t) = A e^{-zeta w t}(cos s + zeta w t sin s / s), with 1 for sin s / s
-    at t = 0.  The form is picked from zeta once per kernel.
+    2 w sqrt(zeta^2-1).  Below it, with w_d = w sqrt(1-zeta^2) and
+    s = w_d t, r(t) = A e^{-zeta w t}(cos s + zeta w sin(s)/w_d), which is
+    analytic at every lag, t = 0 included.  The form is picked from zeta
+    once per kernel.
     """
 
     family = "sdho"
@@ -216,18 +221,19 @@ class SdhoKernel(Kernel):
         self.omega0 = omega0
         self.zeta = zeta
         self.theta = theta
-        self.r0 = theta / omega0**2
+        self.r0 = _over(theta, omega0 * omega0)
         self.q0 = theta
         self.tau_fast = 1.0 / omega0
         self.shape = {"zeta": zeta}
         if zeta >= 1.0:
             root = math.sqrt((zeta - 1.0) * (zeta + 1.0))
             self._rates = (self.r0, omega0 / (zeta + root), 2.0 * omega0 * root)
-            self.tau_slow = 1.0 / self._rates[1]
+            self.tau_slow = _over(1.0, self._rates[1])
         else:
             self._rates = None
             self._omega_d = omega0 * math.sqrt(1.0 - zeta * zeta)  # s = _omega_d * t
-            self.tau_slow = 1.0 / (zeta * omega0)
+            self.tau_slow = _over(1.0, zeta * omega0)
+        self._check_scales()
 
     @property
     def series_scale(self) -> float:
@@ -242,15 +248,15 @@ class SdhoKernel(Kernel):
         if self._rates is not None:
             return _two_rates(xp, t, *self._rates)
         w = self.omega0
-        z = self.zeta
+        zw = self.zeta * w
         amp = self.r0
         s = self._omega_d * t
-        c, sv = xp.select(s > 0.0, _trig_pair, _unit_pair, s)
-        decay = xp.exp(-z * w * t)
-        r = amp * decay * (c + z * w * t * sv)
-        p = -amp * w * w * t * decay * sv
+        sv = xp.sin(s) / self._omega_d  # sin(w_d t)/w_d: 0 at t = 0, no 0/0
+        decay = xp.exp(-zw * t)
+        r = amp * decay * (xp.cos(s) + zw * sv)
+        p = -amp * w * w * decay * sv
         # r solves r'' + 2 zeta w r' + w^2 r = 0 for t > 0.
-        q = 2.0 * z * w * p + w * w * r
+        q = 2.0 * zw * p + w * w * r
         return r, p, q
 
     def _taylor_coefficients(self) -> np.ndarray:
@@ -289,10 +295,11 @@ class OuMeanRevertKernel(Kernel):
         self.tau_e = tau_e
         self.kappa = tau_f / tau_e
         self.r0 = sigma * sigma * self.kappa / (1.0 + self.kappa)
-        self.q0 = sigma * sigma / ((1.0 + self.kappa) * tau_e * tau_e)
+        self.q0 = _over(sigma * sigma, (1.0 + self.kappa) * tau_e * tau_e)
         self.tau_slow = max(tau_f, tau_e)
         self.tau_fast = min(tau_f, tau_e)
         self.shape = {"kappa": self.kappa}
+        self._check_scales()
         self._rates = (self.r0, 1.0 / self.tau_slow, 1.0 / self.tau_fast - 1.0 / self.tau_slow)
 
     def _rpq(self, t, xp=_Floats):
@@ -315,10 +322,11 @@ class RationalQuadraticKernel(Kernel):
         self.tau = tau
         self.alpha_shape = alpha_shape
         self.r0 = sigma * sigma
-        self.q0 = sigma * sigma / (tau * tau)
+        self.q0 = _over(sigma * sigma, tau * tau)
         self.tau_slow = tau
         self.tau_fast = tau
         self.shape = {"alpha_shape": alpha_shape}
+        self._check_scales()
 
     @property
     def series_scale(self) -> float:
@@ -343,10 +351,9 @@ class RationalQuadraticKernel(Kernel):
         a = self.alpha_shape
         coeffs = np.zeros(_TAYLOR_ORDER)
         rising = 1.0
-        for k in range(_TAYLOR_ORDER // 2 + 1):
-            if 2 * k >= _TAYLOR_ORDER:
-                break
-            coeffs[2 * k] = (
+        for j in range(0, _TAYLOR_ORDER, 2):
+            k = j // 2
+            coeffs[j] = (
                 self.r0 * (-1.0) ** k * rising
                 / (math.factorial(k) * (2.0 * a * self.tau**2) ** k)
             )
@@ -366,10 +373,11 @@ class SquaredExponentialKernel(Kernel):
         self.sigma = sigma
         self.tau = tau
         self.r0 = sigma * sigma
-        self.q0 = sigma * sigma / (tau * tau)
+        self.q0 = _over(sigma * sigma, tau * tau)
         self.tau_slow = tau
         self.tau_fast = tau
         self.shape = {}
+        self._check_scales()
 
     def _rpq(self, t, xp=_Floats):
         tau2 = self.tau * self.tau
@@ -380,10 +388,8 @@ class SquaredExponentialKernel(Kernel):
 
     def _taylor_coefficients(self) -> np.ndarray:
         coeffs = np.zeros(_TAYLOR_ORDER)
-        for k in range(_TAYLOR_ORDER // 2 + 1):
-            if 2 * k >= _TAYLOR_ORDER:
-                break
-            coeffs[2 * k] = self.r0 * (-0.5 / self.tau**2) ** k / math.factorial(k)
+        for j in range(0, _TAYLOR_ORDER, 2):
+            coeffs[j] = self.r0 * (-0.5 / self.tau**2) ** (j // 2) / math.factorial(j // 2)
         return coeffs
 
 
@@ -443,11 +449,11 @@ def check_validity(kernel) -> ValidityReport:
     """Numeric validity gate for a kernel, or any stand-in with its attributes
     and its ``eval`` and ``eval_array`` methods.
 
-    Verifies the structural invariants (positive r0/q0, strict boundedness,
-    decorrelation, vanishing derivative at the origin), the short-lag
-    condition for finite crossing-count variance (integrability of
-    (q0 - q(t))/t near 0), and the weighted-tail condition for the
-    asymptotic variance rate (finiteness of the integral of
+    Verifies the structural invariants (finite positive r0, q0 and r0 q0,
+    strict boundedness, decorrelation, vanishing derivative at the origin),
+    the short-lag condition for finite crossing-count variance
+    (integrability of (q0 - q(t))/t near 0), and the weighted-tail condition
+    for the asymptotic variance rate (finiteness of the integral of
     t(|r| + |r'| + |r''|), assessed by tail-slope extrapolation).
     """
     tau = kernel.tau_slow
@@ -457,7 +463,9 @@ def check_validity(kernel) -> ValidityReport:
     eps = 0.1 * tau
     checks: dict = {}
 
-    checks["positive_moments"] = (r0 > 0.0 and q0 > 0.0, {"r0": r0, "q0": q0})
+    # The statistics scale p by sqrt(r0 q0), so the product must be a float > 0 too.
+    checks["positive_moments"] = (all(0.0 < m < math.inf for m in (r0, q0, r0 * q0)),
+                                  {"r0": r0, "q0": q0})
 
     r_vals = kernel.eval_array(grid).r
     max_ratio = float(np.max(np.abs(r_vals)) / r0) if r0 > 0 else math.inf
@@ -471,8 +479,9 @@ def check_validity(kernel) -> ValidityReport:
     checks["derivative_vanishes_at_origin"] = (p_small <= max(origin_scale, 1e-10 * math.sqrt(max(r0 * q0, 1e-300))), {"|p(1e-8 tau)|": p_small})
 
     # Short-lag condition: (q0 - q(t))/t integrable on (0, eps].
-    spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-10 * max(q0, 1.0))
     try:
+        spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-10 * max(q0, 1.0))
+
         def geman_integrand(ts):
             d = kernel.eval_array(ts)
             return ((q0 - d.q) / d.t).tolist()

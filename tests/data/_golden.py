@@ -5,9 +5,11 @@
 with ``--check`` it writes nothing, compares them with the fixture's and
 exits 1 after listing every case that differs, by ``name(case)``, each
 followed by the largest relative change of every numeric field in it (0 if
-every case matches).  The numbers of a field are found wherever a case
-holds them: JSON numbers and hex floats under the field's key, CSV cells
-under their column's header, and ``name=value`` pairs of ``repr`` text.
+every case matches).  ``report`` gives that list as text, which the golden
+tests use as their assertion message.  The numbers of a field are found
+wherever a case holds them: JSON numbers and hex floats under the field's
+key, CSV cells under their column's header, and ``name=value`` pairs of
+``repr`` text.
 """
 
 from __future__ import annotations
@@ -70,20 +72,30 @@ def drift(got, want) -> dict:
             for field, (new, old) in fields.items()}
 
 
+def report(cases: list[dict], expected: list[dict], name) -> str:
+    """One line per computed case that differs from the expected one, by
+    ``name(case)``, each followed by the largest relative change of every
+    numeric field in it; empty if every case matches."""
+    differs = [(name(want), drift(got, want)) for got, want in zip(cases, expected) if got != want]
+    if len(cases) != len(expected):
+        differs.append((f"{len(cases)} cases against {len(expected)} in the fixture", {}))
+    lines = []
+    for what, changes in differs:
+        lines.append(f"differs: {what}\n")
+        for field, change in changes.items():
+            lines.append(f"  {field}: {change:.2e}\n" if isinstance(change, float)
+                         else f"  {field}: {change}\n")
+    return "".join(lines)
+
+
 def check(cases: list[dict], golden: str, name) -> int:
     """Compare computed cases with the fixture's; list every one that
     differs and return 1, or 0 if all match."""
     with open(golden) as fh:
         expected = json.load(fh)["cases"]
-    differs = [(name(want), drift(got, want)) for got, want in zip(cases, expected) if got != want]
-    if len(cases) != len(expected):
-        differs.append((f"{len(cases)} cases against {len(expected)} in the fixture", {}))
-    for what, changes in differs:
-        sys.stdout.write(f"differs: {what}\n")
-        for field, change in changes.items():
-            sys.stdout.write(f"  {field}: {change:.2e}\n" if isinstance(change, float)
-                             else f"  {field}: {change}\n")
-    if differs:
+    text = report(cases, expected, name)
+    if text:
+        sys.stdout.write(text)
         return 1
     sys.stdout.write(f"all {len(cases)} cases match {golden}\n")
     return 0

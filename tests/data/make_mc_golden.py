@@ -50,5 +50,10 @@ def compute() -> list[dict]:
             for label, config in _configs()]
 
 
+def name(case: dict) -> str:
+    """The label ``--check`` and the golden tests list a differing case by."""
+    return case["case"]
+
+
 if __name__ == "__main__":
-    sys.exit(_golden.main(sys.argv[1:], GOLDEN, compute, lambda case: case["case"]))
+    sys.exit(_golden.main(sys.argv[1:], GOLDEN, compute, name))

@@ -63,5 +63,10 @@ def compute() -> list[dict]:
         return [run_case(case, directory) for case in CASES]
 
 
+def name(case: dict) -> str:
+    """The label ``--check`` and the golden tests list a differing case by."""
+    return " ".join(case["argv"])
+
+
 if __name__ == "__main__":
-    sys.exit(_golden.main(sys.argv[1:], GOLDEN, compute, lambda case: " ".join(case["argv"])))
+    sys.exit(_golden.main(sys.argv[1:], GOLDEN, compute, name))

@@ -75,6 +75,20 @@ class TestStats:
         assert code in (EXIT_OK, EXIT_NUMERIC)
         assert len(err.splitlines()) == (code == EXIT_NUMERIC) and "Traceback" not in err
 
+    @pytest.mark.parametrize("flags", [
+        "--kernel se --tau 1e-160", "--kernel se --sigma 1e-200", "--kernel sdho --omega0 1e-200",
+        "--kernel rq --tau 1e-200", "--kernel sdho --omega0 1e200", "--kernel se --sigma 1e200",
+        "--kernel ou --sigma 1e200", "--kernel sdho --theta 1e-300", "--kernel rq --tau 1e300",
+    ])
+    def test_extreme_finite_parameters_end_in_one_line(self, capsys, flags):
+        # Squares and ratios of these parameters leave the float range: the run
+        # ends in one line on stderr (a warning would be another), not a traceback.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, "stats", *shlex.split(flags))
+        assert code in (EXIT_USAGE, EXIT_NUMERIC)
+        assert len(err.splitlines()) + len(caught) == 1 and "Traceback" not in err
+
     def test_horizon_block(self, capsys):
         code, out, _ = run(capsys, "stats", "--kernel", "sdho", "--u", "0.5",
                            "--horizon", "50", "--json")

@@ -198,7 +198,7 @@ MPMATH_KERNELS = [
       for a in (0.1, 0.75, 2.0, 50.0, 1e4)),
     pytest.param(make_squared_exponential(1.1, 0.7), id="se"),
     *(pytest.param(make_sdho(1.3, z, 0.7), id=f"sdho zeta={z!r}")
-      for z in (0.3, 0.7, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 2.0, 3.0, 25.0, 100.0)),
+      for z in (0.05, 0.3, 0.7, 1.0 - 1e-6, 1.0 - 1e-9, 1.0, 1.0 + 1e-6, 2.0, 3.0, 25.0, 100.0)),
 ]
 
 
@@ -237,6 +237,30 @@ class TestValidation:
         with pytest.raises(KernelError, match=f"^{name} must be finite"):
             make(*args)
 
+    @pytest.mark.parametrize("make, args, name", [
+        (make_sdho, (1e-200, 0.5, 1.0), "r0"),
+        (make_sdho, (1e200, 1.0, 1.0), "r0"),
+        (make_ou_mean_revert, (1e200, 0.5, 1.0), "r0"),
+        (make_ou_mean_revert, (1.0, 1e-200, 1e-200), "q0"),
+        (make_rational_quadratic, (1.0, 1e-200, 1.0), "q0"),
+        (make_rational_quadratic, (1.0, 1e300, 1.0), "q0"),
+        (make_squared_exponential, (1e-200, 1.0), "r0"),
+        (make_squared_exponential, (1.0, 1e-160), "q0"),
+    ])
+    def test_scales_outside_the_floats_raise(self, make, args, name):
+        # Finite parameters whose squares or ratios overflow or underflow:
+        # a KernelError that names the parameters, not a ZeroDivisionError.
+        with pytest.raises(KernelError, match=rf"^\w+Kernel\(.*\) gives {name} = "):
+            make(*args)
+
+    def test_validity_requires_float_moments(self):
+        # A stand-in whose q0 overflowed, or whose r0 q0 underflows, fails the
+        # moment check; the gate reports it and does not raise.
+        for r0, q0 in ((1.0, math.inf), (1e-300, 1e-300)):
+            stand_in = make_sdho(1.0, 0.7, 1.0)
+            stand_in.r0, stand_in.q0 = r0, q0
+            assert not check_validity(stand_in).passed("positive_moments")
+
     def test_negative_lag_raises(self):
         with pytest.raises(KernelError):
             make_squared_exponential(1.0, 1.0).eval(-0.1)
@@ -272,6 +296,7 @@ class TestArrayEvaluation:
         make_squared_exponential(1.0, 1.0),
         make_ou_mean_revert(1.0, 1.0, 1.0), make_ou_mean_revert(1.0, 100.0, 1.0),
         pytest.param(make_sdho(1.0, 1.0 + 1e-6, 1.0), id="SdhoKernel(omega0=1, zeta=1+1e-6, theta=1)"),
+        pytest.param(make_sdho(1.0, 1.0 - 1e-9, 1.0), id="SdhoKernel(omega0=1, zeta=1-1e-9, theta=1)"),
         make_sdho(1.0, 100.0, 1.0), make_rational_quadratic(1.0, 1.0, 1e4),
     ], ids=repr)
     def test_matches_eval_bit_for_bit(self, kernel):
@@ -279,21 +304,18 @@ class TestArrayEvaluation:
         want = np.array([kernel.eval(t) for t in self.LAGS.tolist()]).T
         assert np.array(got).tobytes() == want.tobytes()
 
-    def test_lags_reach_every_branch(self):
-        # The underdamped oscillator's circular pair is (1, 1) at s = 0 and
-        # trigonometric past it; the two-rate form of ou and of the oscillator
-        # at and above critical damping has a rate gap or none.
-        for kernel, branches in ((make_sdho(1.0, 0.3, 1.0), {"s = 0", "trig"}),
-                                 (make_sdho(1.0, 1.0, 1.0), {"gap = 0"}),
-                                 (make_sdho(1.3, 3.0, 0.7), {"gap > 0"}),
-                                 (make_ou_mean_revert(1.0, 1.0, 1.0), {"gap = 0"}),
-                                 (make_ou_mean_revert(1.2, 0.05, 1.0), {"gap > 0"})):
-            if kernel._rates is not None:
-                reached = {"gap > 0" if kernel._rates[2] > 0.0 else "gap = 0"}
-            else:
-                s = kernel._omega_d * self.LAGS
-                reached = {name for name, mask in (("s = 0", s == 0.0), ("trig", s > 0.0)) if mask.any()}
-            assert reached == branches, kernel
+    def test_kernels_reach_every_form(self):
+        # No form branches on the lag; the form is picked once per kernel: the
+        # two-rate form of ou and of the oscillator at and above critical
+        # damping, with a rate gap or none, and the circular form below it.
+        for kernel, form in ((make_sdho(1.0, 0.3, 1.0), "circular"),
+                             (make_sdho(1.0, 1.0, 1.0), "gap = 0"),
+                             (make_sdho(1.3, 3.0, 0.7), "gap > 0"),
+                             (make_ou_mean_revert(1.0, 1.0, 1.0), "gap = 0"),
+                             (make_ou_mean_revert(1.2, 0.05, 1.0), "gap > 0")):
+            rates = kernel._rates
+            reached = "circular" if rates is None else "gap > 0" if rates[2] > 0.0 else "gap = 0"
+            assert reached == form, kernel
 
     def test_negative_lag_raises(self):
         kernel = make_squared_exponential(1.0, 1.0)

@@ -12,10 +12,12 @@ import sys
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 sys.path.insert(0, DATA)
 
-from make_mc_golden import GOLDEN, compute  # noqa: E402
+import _golden  # noqa: E402
+from make_mc_golden import GOLDEN, compute, name  # noqa: E402
 
 
 def test_estimates_match_golden():
     with open(GOLDEN) as fh:
         expected = json.load(fh)["cases"]
-    assert compute() == expected
+    got = compute()
+    assert got == expected, _golden.report(got, expected, name)

@@ -16,13 +16,14 @@ DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 sys.path.insert(0, DATA)
 
 import _golden  # noqa: E402
-from make_stats_golden import GOLDEN, compute  # noqa: E402
+from make_stats_golden import GOLDEN, compute, name  # noqa: E402
 
 
 def test_statistics_match_golden():
     with open(GOLDEN) as fh:
         expected = json.load(fh)["cases"]
-    assert compute() == expected
+    got = compute()
+    assert got == expected, _golden.report(got, expected, name)
 
 
 def test_check_lists_every_differing_case(tmp_path, capsys):

@@ -13,7 +13,8 @@ import pytest
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 sys.path.insert(0, DATA)
 
-from make_sweep_golden import GOLDEN, run_case  # noqa: E402
+import _golden  # noqa: E402
+from make_sweep_golden import GOLDEN, name, run_case  # noqa: E402
 
 with open(GOLDEN) as fh:
     CASES = json.load(fh)["cases"]
@@ -21,4 +22,5 @@ with open(GOLDEN) as fh:
 
 @pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"][1:]) for c in CASES])
 def test_sweep_bytes_match_golden(case, tmp_path):
-    assert run_case(case["argv"], str(tmp_path)) == case
+    got = run_case(case["argv"], str(tmp_path))
+    assert got == case, _golden.report([got], [case], name)
