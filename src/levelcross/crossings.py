@@ -64,33 +64,33 @@ Three numerical regimes of the integrand are handled explicitly:
   with unit-moment tables built at import.
 
 The validity gate's outcome and the short-lag series tables are cached on
-the kernel, so each is computed once per kernel.  ``variance_rate_asymptotic``
-takes one level or a sequence of levels (one sweep row), and a scalar level
-is a row of one.  Each level keeps its own adaptive mesh, so every result
-equals its single-level call bit for bit, but the levels are integrated in
-lockstep (:func:`levelcross.quadrature.integrate_semi_infinite_rows`): each
-round, one ``_panel`` call gives every level's values at the lags of every
-panel that some level asks for and no earlier round gave, the level-free
-work as arrays over those lags (``_lags``), then one array expression per
-regime.  Round 0 also evaluates the open-left stub panels that every level
-asks for one at a time later, so a 9-level row takes a handful of ``_panel``
-calls.  The table of panels lives for that one call and is never stored on
-the kernel.  A row of one gives the float path's value, error and evaluation
+the kernel, so each is computed once per kernel; a kernel whose series
+leaves the float range raises ``KernelError`` there.
+``variance_rate_asymptotic`` takes one level or a sequence of levels (one
+sweep row), and a scalar level is a row of one.  Each level keeps its own
+adaptive mesh, so every result equals its single-level call bit for bit,
+but the levels are integrated in lockstep
+(:func:`levelcross.quadrature.integrate_semi_infinite_rows`): each round,
+one ``_panel`` call gives every level's values at the lags of every panel
+that some level asks for and no earlier round gave, the level-free work as
+arrays over those lags (``_lags``), then one array expression per regime.
+Round 0 also evaluates the open-left stub panels that every level asks for
+one at a time later, so a 9-level row takes a handful of ``_panel`` calls.
+The table of panels lives for that one call and is never stored on the
+kernel.  A row of one gives the float path's value, error and evaluation
 count for less CPU (2.7 times less on average over seven kernel families).
 The long-time zero-level statistics are rows of one as well, of the arctan
-form (``_panel`` takes the per-regime expression): 3.0 times less CPU.
+form (``_panel`` takes the per-regime expression): 3.0 times less CPU.  A
+long-time row raises what its failing round raises; there is no fallback.
 
-The float path (``_lag``, one integrand call per panel, ``_float_stats``)
-serves what is left: finite windows (``variance_count``), windowed
-zero-level statistics (``zero_level_stats`` with T) and the fallback of a
-long-time row that raised; it is also the reference the array path is
-tested against.  Moving windows onto the array path, like a faster float
-``_horner``, waits for a benchmark that no longer couples throughput and
-memory (ROADMAP item 1): ``perfbench``'s worker keeps every operation until
-it reads the peak RSS, so a faster ``stats_mix`` reads a higher
-``peak_rss_mb``.  Moving the long-time zero-level statistics raised the
-median ``stats_mix`` ``peak_rss_mb`` by 1.4%; moving the windowed ones as
-well read +4.3%, too close to its 5% bound.
+The float path (``_lag``, one integrand call per lag, ``_float_stats``) has
+one production use left: finite windows (``variance_count``, and
+``zero_level_stats`` with T).  With T None it stays the reference the
+long-time rows are tested against.  Moving windows onto the array path,
+like a faster float ``_horner``, waits for a benchmark that no longer
+couples throughput and memory (ROADMAP item 1): ``perfbench``'s worker
+keeps every operation until it reads the peak RSS, so a faster
+``stats_mix`` reads a higher ``peak_rss_mb`` (see ``zero_level_stats``).
 """
 
 from __future__ import annotations
@@ -104,9 +104,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _xp
-from .kernels import Kernel, KernelDerivatives, check_validity
+from .kernels import Kernel, KernelDerivatives, KernelError, check_validity
 from .quadrature import (QuadratureResult, QuadratureSpec, integrate_finite,
-                         integrate_semi_infinite, integrate_semi_infinite_rows, pointwise)
+                         integrate_semi_infinite_rows, pointwise)
 from .special import erf, owens_t
 
 __all__ = [
@@ -211,12 +211,24 @@ def _abg_polys(kernel: Kernel) -> np.ndarray:
     exactly (coefficient arithmetic reproduces the cancellation without
     loss, unlike evaluating the differences at small t; which orders cancel
     depends on the family, and their rounding residue is set to 0).  The
-    four rows share one array, so the per-kernel cache stays small.
+    four rows share one array, so the per-kernel cache stays small.  A
+    kernel whose series or rows leave the float range raises ``KernelError``.
     """
     cached = getattr(kernel, "_abg_poly_cache", None)
-    if cached is not None:
-        return cached
-    a = kernel.taylor
+    if cached is None:
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            try:
+                cached = _series_rows(kernel.taylor)
+            except ArithmeticError:  # a power of an extreme rate overflows, or underflows to 0
+                cached = np.array([math.nan])
+        if not np.isfinite(cached).all():
+            raise KernelError(f"{kernel!r}: its short-lag series leaves the float range")
+        kernel._abg_poly_cache = cached
+    return cached
+
+
+def _series_rows(a: np.ndarray) -> np.ndarray:
+    """``_abg_polys``' four rows from the series coefficients a."""
     n = len(a)
     p_c = np.zeros(n)
     p_c[: n - 1] = [(k + 1) * a[k + 1] for k in range(n - 1)]
@@ -239,9 +251,7 @@ def _abg_polys(kernel: Kernel) -> np.ndarray:
         bound = np.convolve(abs(p_c), abs(p_c))[:n] + np.convolve(abs(q_c), abs(r_c))[:n]
         return np.where(abs(exact) <= 4.0 * n * np.finfo(float).eps * bound, 0.0, exact)
 
-    cached = np.array([p_c, rm_c, denominator(qm_c, rp_c), denominator(qp_c, rm_c)])
-    kernel._abg_poly_cache = cached
-    return cached
+    return np.array([p_c, rm_c, denominator(qm_c, rp_c), denominator(qp_c, rm_c)])
 
 
 def _horner(coeffs: np.ndarray, t: float) -> float:
@@ -255,10 +265,9 @@ def _lag_params(kernel: Kernel, t: float, d: KernelDerivatives | None = None) ->
     """The level-free part of ``abg_params`` at lag t: (alpha, beta, delta,
     det, r0^2 - r^2, sqrt(2) p, r + r0); gamma is (sqrt(2) p) u / (r + r0).
 
-    Every ``DegenerateLagError`` check lives here, since none depends on u.
+    Every ``DegenerateLagError`` check lives here and, on arrays, in
+    ``_lags``, since none depends on u; ``_lag_error`` words them.
     """
-    if t <= 0.0:
-        raise DegenerateLagError(f"lag must be > 0 (got {t})")
     r0 = kernel.r0
     q0 = kernel.q0
     if t < _SERIES_FRACTION * kernel.series_scale:
@@ -277,16 +286,27 @@ def _lag_params(kernel: Kernel, t: float, d: KernelDerivatives | None = None) ->
         d_alpha = p * p + (d.q - q0) * rp
         d_beta = p * p + (d.q + q0) * rm
     rr_diff = -rm * rp              # r0^2 - r^2
-    if rr_diff <= 0.0 or not math.isfinite(rr_diff):
-        raise DegenerateLagError(f"r0^2 - r^2 = {rr_diff} at t={t}: lag degenerate")
-    if d_alpha >= 0.0 or d_beta >= 0.0:
-        raise DegenerateLagError(
-            f"denominator sign lost at t={t} (D_alpha={d_alpha}, D_beta={d_beta})"
-        )
+    if t <= 0.0 or not 0.0 < rr_diff < math.inf or d_alpha >= 0.0 or d_beta >= 0.0:
+        raise _lag_error(t, rr_diff, d_alpha, d_beta)
     lag = _lag_fields(p, rm, rp, d_alpha, d_beta)
     if not (lag[0] > 0.0 and lag[1] > 0.0 and lag[2] > 0.0):
-        raise DegenerateLagError(f"parameter positivity lost at t={t}")
+        raise _lag_error(t, rr_diff, d_alpha, d_beta)
     return lag
+
+
+def _lag_error(t: float, rr_diff: float, d_alpha: float, d_beta: float) -> DegenerateLagError:
+    """The error of the first of ``_lag_params``' checks that lag t fails,
+    given that it fails one: t > 0, 0 < r0^2 - r^2 < inf, D_alpha and D_beta
+    < 0, then alpha, beta and delta > 0."""
+    if t <= 0.0:
+        message = f"lag must be > 0 (got {t})"
+    elif not 0.0 < rr_diff < math.inf:
+        message = f"r0^2 - r^2 = {rr_diff} at t={t}: lag degenerate"
+    elif d_alpha >= 0.0 or d_beta >= 0.0:
+        message = f"denominator sign lost at t={t} (D_alpha={d_alpha}, D_beta={d_beta})"
+    else:
+        message = f"parameter positivity lost at t={t}"
+    return DegenerateLagError(message)
 
 
 def _lag_fields(p, rm, rp, d_alpha, d_beta) -> tuple:
@@ -319,8 +339,8 @@ def _lags(kernel: Kernel, t: np.ndarray) -> list:
     """``_lag`` over an array of lags, with the same bits, as (columns, lag)
     pairs: the ``KernelDerivatives`` of the weak-correlation lags and the
     ``_lag_params`` fields of the others, as arrays in node order.  If a lag
-    fails one of ``_lag_params``' checks, ``_lag`` raises its error at the
-    first such lag."""
+    fails one of ``_lag_params``' checks, it raises ``_lag_params``' error at
+    the first such lag."""
     r0, q0 = kernel.r0, kernel.q0
     series = t < _SERIES_FRACTION * kernel.series_scale
     n_series = np.count_nonzero(series)
@@ -356,8 +376,8 @@ def _lags(kernel: Kernel, t: np.ndarray) -> list:
     # Every check of _lag_params at once; a NaN fails them too.
     positive = np.array([t[strong], rr_diff, -d_alpha, -d_beta, alpha, beta, delta])
     if not (positive.min() > 0.0 and rr_diff.max() < math.inf):
-        for lag_t in t.tolist():  # the float path, in node order, raises at the first failure
-            _lag(kernel, lag_t)
+        first = np.flatnonzero(~((positive > 0.0).all(axis=0) & (rr_diff < math.inf)))[0]
+        raise _lag_error(*(float(v[first]) for v in (t[strong], rr_diff, d_alpha, d_beta)))
     return groups + [(strong, lag)]
 
 
@@ -507,7 +527,8 @@ def _panel(kernel: Kernel, levels: np.ndarray, ts, total: bool, excess=_excess) 
     expression per regime, ``_excess`` or the zero level's ``_zero_excess``."""
     values = np.empty((len(levels), len(ts)))
     for cols, lag in _lags(kernel, np.asarray(ts, dtype=float)):
-        values[:, cols] = excess(kernel, levels, lag, total, _Arrays)
+        with np.errstate(all="ignore"):  # the integrator rejects a non-finite value
+            values[:, cols] = excess(kernel, levels, lag, total, _Arrays)
     return values
 
 
@@ -551,24 +572,31 @@ def mean_count(kernel: Kernel, u: float, T: float, mode=CrossingMode.UP) -> floa
 def _float_stats(kernel: Kernel, u: float, mode: CrossingMode, T: float | None,
                  spec: QuadratureSpec | None, excess=_excess) -> CrossingStats:
     """One level's statistics on the float path (``_lag``), one integrand call
-    per panel: windows, and the fallback of a long-time row that raised; for
-    ``excess=_zero_excess``, through ``_integrand_zero``."""
+    per lag, for windows; for ``excess=_zero_excess``, through
+    ``_integrand_zero``.  With T None, the tests' long-time reference."""
     total = mode is CrossingMode.TOTAL
     f = pointwise(functools.partial(_integrand_zero, kernel, total=total) if excess is _zero_excess
                   else functools.partial(integrand_total if total else integrand_up, kernel, u))
+    if T is None:  # a row of one
+        return _assemble(kernel, u, mode, T, lambda: _lag_integral(
+            kernel, lambda ts: np.array([f(ts.tolist())]), T, spec)[0])
     return _assemble(kernel, u, mode, T, lambda: _lag_integral(kernel, f, T, spec))
 
 
 def _gate(kernel: Kernel) -> tuple[str, ...]:
     """Validity gate, run once per kernel (the outcome is cached on it): the
-    short-lag condition is hard, tail failures are warnings."""
+    short-lag series must form in floats (``_abg_polys``), the short-lag
+    condition and positive moments are hard, tail failures are warnings."""
     cached = getattr(kernel, "_gate_cache", None)
     if cached is None:
+        _abg_polys(kernel)
         report = check_validity(kernel)
         cached = tuple(f"validity check {name!r} not satisfied: {detail}"
                        for name, (ok, detail) in report.checks.items() if not ok)
-        if not report.passed("short_lag_integrable") or not report.passed("positive_moments"):
-            cached = ValidityError(f"kernel fails validity checks: {report.checks}")
+        hard = {name: detail for name, (ok, detail) in report.checks.items()
+                if not ok and name in ("positive_moments", "short_lag_integrable")}
+        if hard:
+            cached = ValidityError(f"kernel fails validity checks: {hard}")
         kernel._gate_cache = cached
     if isinstance(cached, ValidityError):
         raise ValidityError(*cached.args)
@@ -576,18 +604,16 @@ def _gate(kernel: Kernel) -> tuple[str, ...]:
 
 
 def _lag_integral(kernel: Kernel, f, T: float | None, spec: QuadratureSpec | None,
-                  rows: int | None = None):
+                  rows: int = 1):
     """int_0^inf f, or int_0^T (1-t/T) f, with breakpoints at multiples of
     tau_slow: the integration policy of every statistic.  f is 0/0 at lag 0,
     so the left end stays open, and one tail map on tau_slow serves every
-    family.  With ``rows``, f is that many long-time integrands at once and
-    the result one ``QuadratureResult`` per row."""
+    family.  With T None, f is ``rows`` long-time integrands at once and the
+    result one ``QuadratureResult`` per row."""
     tau = kernel.tau_slow
     open_left = 1e-7 * tau
-    if rows is not None:
-        return integrate_semi_infinite_rows(f, rows, 0.0, spec, scale=tau, open_left=open_left)
     if T is None:
-        return integrate_semi_infinite(f, 0.0, spec, scale=tau, open_left=open_left)
+        return integrate_semi_infinite_rows(f, rows, 0.0, spec, scale=tau, open_left=open_left)
     breaks = [m * tau for m in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)]
     return integrate_finite(lambda ts: [(1.0 - t / T) * v for t, v in zip(ts, f(ts))],
                             0.0, T, spec, open_left=open_left, breakpoints=breaks)
@@ -648,43 +674,29 @@ def variance_rate_asymptotic(
 
     ``u`` may also be a sequence of levels; the result is then a tuple with
     one ``CrossingStats`` per level, each equal to its single-level call.
-    The levels, a scalar as a row of one, are integrated in lockstep; if
-    that raises, the float path computes them in order and raises for the
-    first level to fail (``_long_time``).
+    The levels, a scalar as a row of one, are integrated in lockstep
+    (``_row``), which raises what its failing round raises.
     """
     mode = _mode(mode)
     scalar = np.ndim(u) == 0
-    row = _long_time(kernel, (u,) if scalar else u, mode, spec)
+    row = _row(kernel, (u,) if scalar else u, mode, spec)
     return row[0] if scalar else row
-
-
-def _long_time(kernel: Kernel, levels, mode: CrossingMode, spec: QuadratureSpec | None,
-               excess=_excess) -> tuple:
-    """Long-time statistics as one row (``_row``).  If that raises what a lag,
-    the gate or the integrator raises (``ArithmeticError``, ``ValueError``),
-    the float path computes the levels in order and raises for the first to fail."""
-    try:
-        return _row(kernel, levels, mode, spec, excess) if len(levels) else ()
-    except (ArithmeticError, ValueError):
-        # A lag, the gate or the integrator failed: the float path raises it
-        # again for the first level it concerns; round 0 may have evaluated a
-        # lag that no level asks for, and then it succeeds.
-        return tuple(_float_stats(kernel, level, mode, None, spec, excess) for level in levels)
 
 
 def _row(kernel: Kernel, u, mode: CrossingMode, spec: QuadratureSpec | None,
          excess=_excess) -> tuple:
-    """A row of levels integrated in lockstep, each on its own adaptive
-    mesh: every round, one ``_panel`` call evaluates every live level at the
-    lags of every panel that any level asks for and no earlier round gave
-    (see ``integrate_semi_infinite_rows``)."""
-    _gate(kernel)  # before any integration, as on the single-level path
+    """Long-time statistics of a row of levels, integrated in lockstep, each
+    on its own adaptive mesh: every round, one ``_panel`` call evaluates
+    every live level at the lags of every panel that any level asks for and
+    no earlier round gave (see ``integrate_semi_infinite_rows``).  A row
+    raises what the gate or its failing round raises, with no fallback."""
+    _gate(kernel)  # before any integration, as in _assemble
     total = mode is CrossingMode.TOTAL
     # The levels whose mean underflows never integrate (see _assemble).
     live = [i for i, level in enumerate(u) if mean_rate(kernel, level, mode) != 0.0]
     levels = np.array([u[i] for i in live], dtype=float)[:, None]
     results = dict(zip(live, _lag_integral(
-        kernel, lambda ts: _panel(kernel, levels, ts, total, excess), None, spec, rows=len(live))))
+        kernel, lambda ts: _panel(kernel, levels, ts, total, excess), None, spec, len(live))))
     return tuple(_assemble(kernel, level, mode, None, lambda i=i: results[i])
                  for i, level in enumerate(u))
 
@@ -710,17 +722,17 @@ def zero_level_stats(
 
     An independent cross-check path: it never touches erf or Owen's T, and
     shares only the weak-correlation expansion with the general path.
-    T=None computes the asymptotic rates, as a row of one on the lockstep
-    driver with the float path as its fallback (``_long_time``), so value,
-    error, evaluation count and exceptions are the float path's.  With T it
-    computes the finite-T variance on the float path: windows move to the
-    driver once the benchmark's peak RSS no longer follows its throughput
-    (ROADMAP item 1), since moving these read +4.3% median ``stats_mix``
-    ``peak_rss_mb``, against +1.4% for the long-time ones and a 5% bound.
+    T=None computes the asymptotic rates, as a row of one (``_row``), with
+    the value, error and evaluation count of the float path; it raises what
+    its failing round raises.  With T it computes the finite-T variance on
+    the float path: windows move to the driver once the benchmark's peak RSS
+    no longer follows its throughput (ROADMAP item 1), since moving these
+    read +4.3% median ``stats_mix`` ``peak_rss_mb``, against +1.4% for the
+    long-time ones and a 5% bound.
     """
     mode = _mode(mode)
     if T is None:
-        return _long_time(kernel, (0.0,), mode, spec, _zero_excess)[0]
+        return _row(kernel, (0.0,), mode, spec, _zero_excess)[0]
     return _float_stats(kernel, 0.0, mode, T, spec, _zero_excess)
 
 

@@ -28,23 +28,24 @@ bisection, no randomness.
 The integrator is written once, as a generator (``_quadrature``): it yields
 the panels it needs (the breakpoint segments, the two halves of a bisected
 panel, each open-left stub panel, the stub's edge point) and is sent back
-their (Kronrod value, error estimate) pairs.  ``integrate_finite`` and
-``integrate_semi_infinite`` drive it with one integrand: they call
-``f(nodes)`` once per panel, in order, with a list of abscissae (the 15
-nodes of one Gauss-Kronrod panel, or the single edge point) and take a
-sequence of as many values back, so an integrand can share work across a
-panel's nodes.  The values are summed in a fixed order (``_weigh``); the
-first non-finite one, in node order, raises ``IntegrationError``.  A
-function of one abscissa joins through ``pointwise``.
+their (Kronrod value, error estimate) pairs.  Each range has one driver:
 
-``integrate_semi_infinite_rows`` drives one generator per integrand of a
-family (the levels of a sweep row) in lockstep rounds.  Each round, one f
-call gives every row's values at the nodes of every panel that some row asks
-for and no earlier round gave, and ``_weigh`` forms every row's sums at once
-as arrays, with the bits of the single-row sums.  Round 0 also fills the
-table with the stub panels that every row asks for one at a time later, so
-a row of nine levels takes a handful of f calls instead of one per panel.
-Each row keeps its own mesh and gets the result of integrating it alone.
+* ``integrate_finite`` calls ``f(nodes)`` once per panel, in order, with a
+  list of abscissae (the 15 nodes of one Gauss-Kronrod panel, or the single
+  edge point) and takes a sequence of as many values back, so an integrand
+  can share work across a panel's nodes; a function of one abscissa joins
+  through ``pointwise``;
+* ``integrate_semi_infinite_rows`` runs one generator per integrand of a
+  family (the levels of a sweep row, or a row of one) in lockstep rounds:
+  one f call per round gives every row's values at every panel that some
+  row asks for and no earlier round gave.  Round 0 also prefetches the stub
+  panels that every row asks for one at a time later, so a row of nine
+  levels takes a handful of f calls; if that call raises, round 0 evaluates
+  the requested panels alone and drops the prefetch.
+
+Either way the values are summed in a fixed order (``_weigh``), as floats or
+as arrays with the same bits, and the first non-finite one, in node order,
+raises ``IntegrationError``.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ __all__ = [
     "QuadratureResult",
     "IntegrationError",
     "integrate_finite",
-    "integrate_semi_infinite",
     "integrate_semi_infinite_rows",
     "pointwise",
 ]
@@ -297,37 +297,6 @@ def integrate_finite(
 _TAIL_BREAKS = tuple(m / (m + 4.0) for m in (0.5, 2.0, 8.0, 32.0))
 
 
-def _tail_map(scale: float, open_left: float | None) -> tuple[float, float | None]:
-    """The tail map's L = 4 scale, and the open-left offset in x units:
-    x_off = off/(L + off)."""
-    if not 0.0 < scale < math.inf:
-        raise ValueError(f"scale must be finite and > 0 (got {scale})")
-    length = 4.0 * scale
-    return length, None if open_left is None else open_left / (length + open_left)
-
-
-def integrate_semi_infinite(
-    f: Callable[[list[float]], Sequence[float]], lo: float, spec: QuadratureSpec | None = None,
-    *, scale: float = 1.0, open_left: float | None = None,
-) -> QuadratureResult:
-    """Integrate f on [lo, inf), where f varies on the timescale ``scale``.
-
-    The map t = lo + L x/(1-x), L = 4 scale, dt = L/(1-x)^2 dx, takes any
-    tail that decays faster than 1/t to an integrable one on [0, 1); the
-    segments are seeded at t = lo + m scale, m in {0.5, 2, 8, 32}.
-    ``open_left`` is an offset in t, as for ``integrate_finite``.
-    """
-    length, x_off = _tail_map(scale, open_left)
-
-    def g(xs: list[float]) -> list[float]:
-        one_minus = [1.0 - x for x in xs]
-        # An x rounded to 1.0 at floating-point resolution maps to no lag.
-        values = iter(f([lo + length * x / m for x, m in zip(xs, one_minus) if m > 0.0]))
-        return [next(values) * length / (m * m) if m > 0.0 else 0.0 for m in one_minus]
-
-    return _drive(g, _quadrature(0.0, 1.0, spec or QuadratureSpec(), _TAIL_BREAKS, x_off))
-
-
 # A row's first round also evaluates this many halvings of the open-left stub,
 # and their edge points: every row asks for the same ones, one at a time.
 _ROUND0_STUB = 14
@@ -337,21 +306,27 @@ def integrate_semi_infinite_rows(
     f: Callable[[np.ndarray], np.ndarray], rows: int, lo: float,
     spec: QuadratureSpec | None = None, *, scale: float = 1.0, open_left: float | None = None,
 ) -> list[QuadratureResult]:
-    """``integrate_semi_infinite`` of ``rows`` integrands at once: f takes an
-    array of abscissae and returns a (rows, abscissae) array.
+    """Integrate ``rows`` integrands on [lo, inf), where they vary on the
+    timescale ``scale``: f takes an array of abscissae and returns a (rows,
+    abscissae) array.  ``open_left`` is an offset in t, as for
+    ``integrate_finite``.
 
-    Each row keeps its own adaptive mesh, and its result equals
-    ``integrate_semi_infinite`` on that row alone bit for bit.  The rows run
-    their ``_quadrature`` generators in lockstep: each round collects every
-    row's request and evaluates every panel not yet in a table with one f
-    call, mapping x to t and the Jacobian once per node and forming every
-    row's sums as arrays (``_weigh``).  The first round also evaluates the
-    panels that every row asks for one at a time later: the first
-    ``_ROUND0_STUB`` halvings of the open-left stub and their edge points.
-    A non-finite value anywhere in a round raises ``IntegrationError``, even
-    where no row would have asked for it.
+    The map t = lo + L x/(1-x), L = 4 scale, dt = L/(1-x)^2 dx, takes any
+    tail that decays faster than 1/t to an integrable one on [0, 1); the
+    segments are seeded at t = lo + m scale, m in {0.5, 2, 8, 32}.  Each row
+    keeps its own adaptive mesh, and its result does not depend on the other
+    rows, bit for bit.  Each round evaluates every panel that a row asks for
+    and the table lacks with one f call, and forms every row's sums as
+    arrays (``_weigh``).  Round 0 also evaluates the first ``_ROUND0_STUB``
+    halvings of the open-left stub and their edge points; if that call
+    raises ``ArithmeticError`` or ``ValueError``, round 0 evaluates the
+    requested panels alone.  Any other call raises what f raises, and a
+    non-finite value anywhere in it raises ``IntegrationError``.
     """
-    length, x_off = _tail_map(scale, open_left)
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"scale must be finite and > 0 (got {scale})")
+    length = 4.0 * scale
+    x_off = None if open_left is None else open_left / (length + open_left)  # in x units
     spec = spec or QuadratureSpec()
     quadratures = [_quadrature(0.0, 1.0, spec, _TAIL_BREAKS, x_off) for _ in range(rows)]
     requests = [next(q) for q in quadratures]
@@ -366,7 +341,14 @@ def integrate_semi_infinite_rows(
         wanted = itertools.chain(extra, *(requests[k] for k in live))
         new = [panel for panel in dict.fromkeys(wanted) if panel not in table]
         if new:
-            table.update(_row_panels(f, rows, new, lo, length))
+            try:
+                table.update(_row_panels(f, rows, new, lo, length))
+            except (ArithmeticError, ValueError):
+                if not extra:
+                    raise
+                # A prefetched panel failed, maybe where no row asks: drop the prefetch.
+                asked = set(itertools.chain(*(requests[k] for k in live)))
+                table.update(_row_panels(f, rows, [p for p in new if p in asked], lo, length))
         extra = []
         running = []
         for k in live:

@@ -28,6 +28,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# Kernels whose short-lag series overflows floats, though their moments are floats.
+SERIES_OVERFLOWS = [
+    "--kernel se --tau 1e-19", "--kernel se --tau 1e-21", "--kernel ou --tau-f 1e-25 --tau-e 1e-25",
+    "--kernel se --tau 1e-100", "--kernel rq --tau 1e-30",
+    "--kernel rq --tau 1e-150 --alpha-shape 1e-30",
+]
+
+
 class TestStats:
     def test_default_sdho_zero_level(self, capsys):
         code, out, _ = run(capsys, "stats", "--kernel", "sdho")
@@ -79,6 +87,7 @@ class TestStats:
         "--kernel se --tau 1e-160", "--kernel se --sigma 1e-200", "--kernel sdho --omega0 1e-200",
         "--kernel rq --tau 1e-200", "--kernel sdho --omega0 1e200", "--kernel se --sigma 1e200",
         "--kernel ou --sigma 1e200", "--kernel sdho --theta 1e-300", "--kernel rq --tau 1e300",
+        *SERIES_OVERFLOWS, "--kernel sdho --theta 1e-150",
     ])
     def test_extreme_finite_parameters_end_in_one_line(self, capsys, flags):
         # Squares and ratios of these parameters leave the float range: the run
@@ -88,6 +97,20 @@ class TestStats:
             code, _, err = run(capsys, "stats", *shlex.split(flags))
         assert code in (EXIT_USAGE, EXIT_NUMERIC)
         assert len(err.splitlines()) + len(caught) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", SERIES_OVERFLOWS)
+    def test_series_out_of_float_range_names_parameter(self, capsys, flags):
+        # The short-lag series of these kernels cannot be formed in floats:
+        # a usage error that names the timescale, checked once per kernel.
+        code, _, err = run(capsys, "stats", *shlex.split(flags))
+        name = shlex.split(flags)[2].lstrip("-").replace("-", "_")
+        assert code == EXIT_USAGE
+        assert f"{name}=" in err and "short-lag series" in err
+
+    def test_failing_gate_names_only_failed_checks(self, capsys):
+        code, _, err = run(capsys, "stats", "--kernel", "se", "--sigma", "1e-150")
+        assert code == EXIT_NUMERIC
+        assert "positive_moments" in err and "bounded" not in err
 
     def test_horizon_block(self, capsys):
         code, out, _ = run(capsys, "stats", "--kernel", "sdho", "--u", "0.5",
@@ -358,6 +381,20 @@ class TestSweep:
         for row in rows[1:]:
             assert (row["var_rate"], row["quad_error"], row["converged"]) == (0.0, 0.0, True)
             assert math.isnan(row["fano"])
+
+    def test_extreme_rows_end_in_one_line_each(self, capsys, tmp_path):
+        # Two timescales whose short-lag series overflows floats: one line
+        # per failed row, naming the kernel, and no warning line.
+        out = tmp_path / "sweep.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, "sweep", "--kernel", "se", "--axis", "tau:1e-100:1:3:log",
+                               "--out", str(out))
+        assert code == EXIT_NUMERIC and caught == []
+        assert [line.split(": ", 2)[:2] for line in err.splitlines()] == [
+            ["sweep row tau=1e-100", "KernelError"], ["sweep row tau=1e-50", "KernelError"]]
+        assert all("tau=" in line.split(": ", 2)[2] for line in err.splitlines())
+        assert out.read_text().splitlines()[-1].endswith(",true")
 
     def test_booleans_spelled_one_way(self, capsys, tmp_path):
         # Two rows whose kernel is invalid and one converged row, in one column.

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from levelcross import crossings
+from levelcross import crossings, quadrature
 
 from levelcross.crossings import (
     CrossingMode,
@@ -268,6 +268,24 @@ class TestArrayPathErrors:
             assert _raised(lambda: crossings._panel(kernel, np.array([[0.0], [1.0]]), ts, total)) == expected
 
     @pytest.mark.parametrize("mode", ["up", "total"])
+    def test_long_time_statistics_never_take_the_float_path(self, mode, monkeypatch):
+        # A long-time row raises what its failing round raises, with no
+        # float-path fallback, and computes without one.
+        def never(*args):
+            raise AssertionError("the float path was taken")
+
+        monkeypatch.setattr(crossings, "_float_stats", never)
+        kernel = _Overshoot(1.0, 1.0)
+        for call in (lambda: variance_rate_asymptotic(kernel, 0.5, mode),
+                     lambda: variance_rate_asymptotic(kernel, [0.5, 1.0], mode),
+                     lambda: fano(kernel, 0.5, mode),
+                     lambda: zero_level_stats(kernel, None, mode)):
+            with pytest.raises(crossings.DegenerateLagError):
+                call()
+        assert variance_rate_asymptotic(SDHO, [0.0, 0.5], mode)[1].quad_converged
+        assert zero_level_stats(SDHO, None, mode).quad_converged
+
+    @pytest.mark.parametrize("mode", ["up", "total"])
     def test_row_raises_single_level_error(self, mode):
         kernel = _Overshoot(1.0, 1.0)
         expected = _raised(lambda: variance_rate_asymptotic(kernel, 0.5, mode))
@@ -432,14 +450,17 @@ class TestRowDriver:
         assert (str(row.value), row.value.abscissa) == (str(single.value), single.value.abscissa)
         assert single.value.abscissa is not None
 
-    def test_failing_lag_no_level_asks_for_keeps_the_row(self, monkeypatch):
+    @pytest.mark.parametrize("fault", ["nan", "degenerate"])
+    def test_failing_lag_no_level_asks_for_keeps_the_row(self, fault, monkeypatch):
         # A round-0 stub panel that no level's mesh reaches: the lockstep
-        # driver fails there, and the row falls back to the levels' calls.
+        # driver fails there, drops the prefetch, and keeps the row.
         kernel = make_ou_mean_revert(1.0, 0.3, 1.0)
         expected = [variance_rate_asymptotic(kernel, u) for u in self.LEVELS]
         asked = set()
-        for u in self.LEVELS:
-            asked.update(self._lags_of(monkeypatch, kernel, u))
+        with monkeypatch.context() as patch:
+            patch.setattr(quadrature, "_ROUND0_STUB", 0)
+            for u in self.LEVELS:
+                asked.update(self._lags_of(patch, kernel, u))
         evaluated = []
         panel = crossings._panel
         with monkeypatch.context() as patch:
@@ -448,9 +469,26 @@ class TestRowDriver:
             variance_rate_asymptotic(kernel, self.LEVELS)
         spare = [t for t in evaluated if t not in asked]
         assert spare  # round 0 evaluates more than the levels ask for
-        self._nan_at(monkeypatch, kernel, self.LEVELS[0], spare[0])
-        with pytest.raises(IntegrationError):
-            crossings._row(kernel, self.LEVELS, CrossingMode.UP, None)
+        if fault == "nan":
+            self._nan_at(monkeypatch, kernel, self.LEVELS[0], spare[0])
+        else:  # _lags' own check rejects the spare lag, read as t = 0
+            lags = crossings._lags
+            monkeypatch.setattr(crossings, "_lags",
+                                lambda k, ts: lags(k, np.where(ts == spare[0], 0.0, ts)))
+        faults, faulty = [], crossings._panel
+
+        def watched(*args):
+            try:
+                values = faulty(*args)
+            except crossings.DegenerateLagError:
+                faults.append(True)
+                raise
+            faults.append(bool(np.isnan(values).any()))
+            return values
+
+        monkeypatch.setattr(crossings, "_panel", watched)
+        assert crossings._row(kernel, self.LEVELS, CrossingMode.UP, None) == tuple(expected)
+        assert faults[0] and not any(faults[1:])  # only round 0's prefetch held the fault
         assert variance_rate_asymptotic(kernel, self.LEVELS) == tuple(expected)
 
 
@@ -683,8 +721,8 @@ class TestZeroLevel:
 
     @pytest.mark.parametrize("mode", ["up", "total"])
     def test_failing_lag_the_level_never_asks_for_keeps_the_result(self, mode, monkeypatch):
-        # A round-0 stub lag that the float path never evaluates: the row
-        # raises there, and the float path gives the statistic.
+        # A round-0 stub lag that the level never asks for: the row's first
+        # round fails there, drops the prefetch, and keeps the statistic.
         kernel = make_ou_mean_revert(1.0, 0.3, 1.0)
         expected = repr(_float_zero(kernel, mode))
         asked, evaluated = [], []
@@ -692,21 +730,27 @@ class TestZeroLevel:
         with monkeypatch.context() as patch:
             patch.setattr(crossings, "_integrand_zero",
                           lambda k, t, total: asked.append(t) or zero(k, t, total))
+            patch.setattr(quadrature, "_ROUND0_STUB", 0)
             _float_zero(kernel, mode)
+        with monkeypatch.context() as patch:
             patch.setattr(crossings, "_panel", lambda k, lv, ts, *form: evaluated.extend(ts.tolist())
                           or panel(k, lv, ts, *form))
             zero_level_stats(kernel, None, mode)
         spare = [t for t in evaluated if t not in set(asked)]
         assert spare  # round 0 evaluates more than the level asks for
 
+        hits = []
+
         def array_panel(k, levels, ts, *form):
             values = panel(k, levels, ts, *form)
             values[:, np.asarray(ts) == spare[0]] = math.nan
+            hits.append(math.isnan(values.sum()))
             return values
 
         monkeypatch.setattr(crossings, "_panel", array_panel)
-        with pytest.raises(IntegrationError):
-            crossings._row(kernel, (0.0,), CrossingMode(mode), None, crossings._zero_excess)
+        assert repr(crossings._row(kernel, (0.0,), CrossingMode(mode), None,
+                                   crossings._zero_excess)[0]) == expected
+        assert hits[0] and not any(hits[1:])  # only round 0's prefetch held the NaN
         assert repr(zero_level_stats(kernel, None, mode)) == expected
 
     @pytest.mark.parametrize("mode", ["up", "total"])

@@ -5,14 +5,20 @@ import math
 import numpy as np
 import pytest
 
+from levelcross import quadrature
 from levelcross.quadrature import (
     IntegrationError,
     QuadratureSpec,
     integrate_finite,
-    integrate_semi_infinite,
     integrate_semi_infinite_rows,
     pointwise,
 )
+
+
+def integrate_one(f, lo, spec=None, **options):
+    """One integrand of one abscissa on [lo, inf), as a row of one."""
+    return integrate_semi_infinite_rows(lambda ts: np.array([[f(t) for t in ts.tolist()]]),
+                                        1, lo, spec, **options)[0]
 
 
 class TestFinite:
@@ -91,76 +97,80 @@ class TestSpec:
 
 class TestSemiInfinite:
     def test_exponential(self):
-        r = integrate_semi_infinite(pointwise(lambda t: math.exp(-t)), 0.0)
+        r = integrate_one(lambda t: math.exp(-t), 0.0)
         assert r.value == pytest.approx(1.0, rel=1e-10)
         assert r.converged
 
     def test_gaussian(self):
-        r = integrate_semi_infinite(pointwise(lambda t: math.exp(-t * t)), 0.0)
+        r = integrate_one(lambda t: math.exp(-t * t), 0.0)
         assert r.value == pytest.approx(0.5 * math.sqrt(math.pi), rel=1e-10)
 
     def test_shifted_origin(self):
-        r = integrate_semi_infinite(pointwise(lambda t: math.exp(-(t - 2.0))), 2.0)
+        r = integrate_one(lambda t: math.exp(-(t - 2.0)), 2.0)
         assert r.value == pytest.approx(1.0, rel=1e-10)
 
     def test_tail_scale_respected(self):
-        r = integrate_semi_infinite(pointwise(lambda t: math.exp(-t / 10.0)), 0.0, scale=10.0)
+        r = integrate_one(lambda t: math.exp(-t / 10.0), 0.0, scale=10.0)
         assert r.value == pytest.approx(10.0, rel=1e-10)
 
     @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
     def test_bad_scale_raises(self, scale):
-        with pytest.raises(ValueError, match=r"^scale must be finite and > 0"):
-            integrate_semi_infinite(pointwise(lambda t: 1.0), 0.0, scale=scale)
         with pytest.raises(ValueError, match=r"^scale must be finite and > 0"):
             integrate_semi_infinite_rows(lambda ts: np.ones((1, len(ts))), 1, 0.0, scale=scale)
 
     def test_power_law_tail_converges(self):
         # A t^-3.5 tail is integrated to the end by the same map as an
         # exponential one: int_0^inf (1+t)^-3.5 dt = 0.4.
-        r = integrate_semi_infinite(pointwise(lambda t: (1.0 + t) ** -3.5), 0.0)
+        r = integrate_one(lambda t: (1.0 + t) ** -3.5, 0.0)
         assert r.converged
         assert abs(r.value - 0.4) <= r.error
 
 
-    def test_one_call_per_panel_it_asks_for(self):
-        # One integrand: 15-node lists for the panels the loop asks for, then
-        # the single edge point of the open-left stub, and no node twice.
-        calls = []
-
-        def f(ts):
-            calls.append(list(ts))
-            return [(1.0 + t) ** -2 for t in ts]
-
-        r = integrate_semi_infinite(f, 0.0, scale=2.0, open_left=1e-7)
-        assert [len(ts) for ts in calls] == [15] * (r.evaluations // 15) + [1]
-        nodes = [t for ts in calls for t in ts]
-        assert len(set(nodes)) == len(nodes) and min(nodes) > 0.0
-
-
 class TestSemiInfiniteRows:
-    """Rows of integrands in lockstep: each row's result is its own
-    integrate_semi_infinite bit for bit (the rational integrands give the
-    same bits in numpy and in Python floats)."""
+    """Rows of integrands in lockstep: each row's result is its one-row
+    call's bit for bit."""
 
     RATES = (0.25, 1.0, 3.0, 40.0)
 
     @pytest.mark.parametrize("spec", [None, QuadratureSpec(rel_tol=1e-6, max_subdivisions=5)])
     @pytest.mark.parametrize("open_left", [None, 1e-7])
     def test_rows_equal_single_calls(self, spec, open_left):
-        rates = np.array(self.RATES)[:, None]
         calls = []
 
-        def rows(ts):
+        def rows(ts, rates=np.array(self.RATES)[:, None]):
             calls.append(len(ts))
             return 1.0 / ((1.0 + rates * ts) * (1.0 + rates * ts)) + ts / (1.0 + ts * ts * ts)
 
         got = integrate_semi_infinite_rows(rows, len(self.RATES), 0.5, spec, scale=2.0,
                                            open_left=open_left)
-        expected = [integrate_semi_infinite(
-            pointwise(lambda t, c=c: 1.0 / ((1.0 + c * t) * (1.0 + c * t)) + t / (1.0 + t * t * t)),
-            0.5, spec, scale=2.0, open_left=open_left) for c in self.RATES]
+        n_calls = len(calls)
+        expected = [integrate_semi_infinite_rows(lambda ts, c=c: rows(ts, np.array([[c]])), 1, 0.5,
+                                                 spec, scale=2.0, open_left=open_left)[0]
+                    for c in self.RATES]
         assert got == expected
-        assert len(calls) < sum(r.evaluations for r in expected) // 15
+        assert n_calls < sum(r.evaluations for r in expected) // 15
+
+    def test_failing_prefetch_is_dropped(self, monkeypatch):
+        # Round 0 also evaluates stub panels that a row may never ask for; if
+        # that call raises, round 0 evaluates the requested panels alone.
+        asked, failed = set(), []
+
+        def f(ts):
+            return 1.0 / ((1.0 + ts) * (1.0 + ts))[None]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(quadrature, "_ROUND0_STUB", 0)
+            expected = integrate_semi_infinite_rows(lambda ts: asked.update(ts.tolist()) or f(ts),
+                                                    1, 0.0, open_left=1e-7)
+
+        def strict(ts):
+            failed.append(not asked.issuperset(ts.tolist()))
+            if failed[-1]:
+                raise ZeroDivisionError("a lag the row never asks for")
+            return f(ts)
+
+        assert integrate_semi_infinite_rows(strict, 1, 0.0, open_left=1e-7) == expected
+        assert failed[0] and not any(failed[1:])
 
     def test_no_rows(self):
         assert integrate_semi_infinite_rows(lambda ts: 1 / 0, 0, 0.0, open_left=1e-7) == []
@@ -206,7 +216,7 @@ class TestErrorHonesty:
     def test_error_bounds_true_error(self):
         honest = 0
         for f, lo, exact in self.CASES:
-            r = integrate_semi_infinite(pointwise(f), lo)
+            r = integrate_one(f, lo)
             true_err = abs(r.value - exact)
             if true_err <= max(r.error, 1e-15):
                 honest += 1
