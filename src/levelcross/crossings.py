@@ -44,7 +44,8 @@ Where each piece comes from:
   ``variance_count``, ``variance_rate_asymptotic``, ``fano`` and
   ``zero_level_stats``, one level and sweep rows alike;
 * the quadrature is :mod:`levelcross.quadrature`, the validity gate
-  :func:`levelcross.kernels.check_validity`.
+  :func:`levelcross.kernels.check_validity`, whose module owns the switch
+  lag to the short-lag series (``_SERIES_FRACTION``).
 
 Three numerical regimes of the integrand are handled explicitly:
 
@@ -65,7 +66,9 @@ Three numerical regimes of the integrand are handled explicitly:
 
 The validity gate's outcome and the short-lag series tables are cached on
 the kernel, so each is computed once per kernel; a kernel whose series
-leaves the float range raises ``KernelError`` there.
+leaves the float range raises ``KernelError`` there, and one that fails the
+gate, or a long-time level whose integral diverges (``_row``),
+``ValidityError``.
 ``variance_rate_asymptotic`` takes one level or a sequence of levels (one
 sweep row), and a scalar level is a row of one.  Each level keeps its own
 adaptive mesh, so every result equals its single-level call bit for bit,
@@ -104,7 +107,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _xp
-from .kernels import Kernel, KernelDerivatives, KernelError, check_validity
+from .kernels import _SERIES_FRACTION, Kernel, KernelDerivatives, KernelError, check_validity
 from .quadrature import (QuadratureResult, QuadratureSpec, integrate_finite,
                          integrate_semi_infinite_rows, pointwise)
 from .special import erf, owens_t
@@ -129,7 +132,6 @@ __all__ = [
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
-_SERIES_FRACTION = 0.1       # series path below this multiple of series_scale
 _WEAK_CORRELATION = 1e-4     # expansion path below this correlation level
 
 
@@ -583,24 +585,18 @@ def _float_stats(kernel: Kernel, u: float, mode: CrossingMode, T: float | None,
     return _assemble(kernel, u, mode, T, lambda: _lag_integral(kernel, f, T, spec))
 
 
-def _gate(kernel: Kernel) -> tuple[str, ...]:
-    """Validity gate, run once per kernel (the outcome is cached on it): the
-    short-lag series must form in floats (``_abg_polys``), the short-lag
-    condition and positive moments are hard, tail failures are warnings."""
+def _gate(kernel: Kernel) -> None:
+    """Validity gate, run once per kernel (() or the ``ValidityError`` is
+    cached on it): the short-lag series must form in floats (``_abg_polys``)
+    and pass ``check_validity``'s two checks; the error names the failed ones."""
     cached = getattr(kernel, "_gate_cache", None)
     if cached is None:
         _abg_polys(kernel)
-        report = check_validity(kernel)
-        cached = tuple(f"validity check {name!r} not satisfied: {detail}"
-                       for name, (ok, detail) in report.checks.items() if not ok)
-        hard = {name: detail for name, (ok, detail) in report.checks.items()
-                if not ok and name in ("positive_moments", "short_lag_integrable")}
-        if hard:
-            cached = ValidityError(f"kernel fails validity checks: {hard}")
+        failed = {n: detail for n, (ok, detail) in check_validity(kernel).checks.items() if not ok}
+        cached = ValidityError(f"{kernel!r} fails validity checks: {failed}") if failed else ()
         kernel._gate_cache = cached
     if isinstance(cached, ValidityError):
         raise ValidityError(*cached.args)
-    return cached
 
 
 def _lag_integral(kernel: Kernel, f, T: float | None, spec: QuadratureSpec | None,
@@ -630,7 +626,7 @@ def _assemble(kernel: Kernel, u: float, mode: CrossingMode, T: float | None,
     ``integral`` is never called there.
     """
     mean = mean_rate(kernel, u, mode) if T is None else mean_count(kernel, u, T, mode)
-    warnings = _gate(kernel)
+    _gate(kernel)
     if mean == 0.0:
         result = QuadratureResult(0.0, 0.0, 0, True)
         scale = 0.0
@@ -640,12 +636,13 @@ def _assemble(kernel: Kernel, u: float, mode: CrossingMode, T: float | None,
     # Plain float/bool fields: the series path's Horner sums are numpy scalars.
     raw = float(mean + scale * result.value)
     quad_error = float(scale * result.error)
+    warnings = ()
     if raw < 0.0:
         if raw < -10.0 * max(quad_error, 1e-300):
             raise NegativeVarianceError(
                 f"variance {raw} negative beyond 10x quadrature error {quad_error}"
             )
-        warnings += (f"raw variance {raw} clamped to 0 (within quadrature error)",)
+        warnings = (f"raw variance {raw} clamped to 0 (within quadrature error)",)
         raw = 0.0
     return CrossingStats(
         mode=mode, u=float(u), mean=mean, variance=raw,
@@ -689,11 +686,18 @@ def _row(kernel: Kernel, u, mode: CrossingMode, spec: QuadratureSpec | None,
     on its own adaptive mesh: every round, one ``_panel`` call evaluates
     every live level at the lags of every panel that any level asks for and
     no earlier round gave (see ``integrate_semi_infinite_rows``).  A row
-    raises what the gate or its failing round raises, with no fallback."""
+    raises what the gate or its failing round raises, with no fallback, or
+    ``ValidityError`` first at a live level whose integral diverges: for
+    r ~ t^-k (``Kernel.tail_power``), k <= 1, or k <= 1/2 at u = 0."""
     _gate(kernel)  # before any integration, as in _assemble
     total = mode is CrossingMode.TOTAL
     # The levels whose mean underflows never integrate (see _assemble).
     live = [i for i, level in enumerate(u) if mean_rate(kernel, level, mode) != 0.0]
+    k = kernel.tail_power
+    for i in live:
+        if k <= (1.0 if u[i] != 0.0 else 0.5):
+            raise ValidityError(f"{kernel!r}: the long-time variance at u={float(u[i])} diverges "
+                                f"for r ~ t^-k, k = {k} (it needs k > 1, or k > 1/2 at u = 0)")
     levels = np.array([u[i] for i in live], dtype=float)[:, None]
     results = dict(zip(live, _lag_integral(
         kernel, lambda ts: _panel(kernel, levels, ts, total, excess), None, spec, len(live))))

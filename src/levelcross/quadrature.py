@@ -375,8 +375,8 @@ def _row_panels(f, rows: int, panels: list[tuple[float, float]], lo: float, leng
         values[:, inside] = f(lags) * length / (one_minus[inside] * one_minus[inside])
     finite = np.isfinite(values).all(axis=0)
     if not finite.all():
-        x = float(xs[~finite][0])
-        raise IntegrationError(f"non-finite integrand value at t={x!r}", x)
+        t = float(lags[~finite[inside]][0])  # the points outside hold 0
+        raise IntegrationError(f"non-finite integrand value at t={t!r}", t)
     n = sum(a < b for a, b in panels)
     halves = np.array([0.5 * (b - a) for a, b in panels[:n]])
     # The panels' values in node order, each over (rows, panels).

@@ -76,6 +76,12 @@ class TestStats:
         assert [doc[k] for k in ("mean_rate", "var_rate", "fano", "quad_error", "converged")] == [
             0.0, 0.0, None, 0.0, True]
 
+    @pytest.mark.parametrize("shape, u", [("0.3", "0.5"), ("1e-12", "0"), ("0.5", "0.5"), ("0.2", "0")])
+    def test_divergent_long_time_rate_exits_in_one_line(self, capsys, shape, u):
+        code, out, err = run(capsys, "stats", "--kernel", "rq", "--alpha-shape", shape, "--u", u)
+        assert (code, out) == (EXIT_NUMERIC, "")
+        assert len(err.splitlines()) == 1 and "diverges" in err and f"k = {2 * float(shape)!r}" in err
+
     def test_damping_past_double_precision(self, capsys):
         # zeta^2 - 1 rounds to zeta^2 at zeta = 1e8: the kernel is built, and
         # the statistic converges or exits with a one-line message.
@@ -110,7 +116,7 @@ class TestStats:
     def test_failing_gate_names_only_failed_checks(self, capsys):
         code, _, err = run(capsys, "stats", "--kernel", "se", "--sigma", "1e-150")
         assert code == EXIT_NUMERIC
-        assert "positive_moments" in err and "bounded" not in err
+        assert "positive_moments" in err and "series_matches" not in err
 
     def test_horizon_block(self, capsys):
         code, out, _ = run(capsys, "stats", "--kernel", "sdho", "--u", "0.5",
@@ -370,6 +376,18 @@ class TestSweep:
         changed = [i for i, (a, b) in enumerate(zip(clean_lines, faulty_lines)) if a != b]
         assert len(faulty_lines) == len(clean_lines) and len(changed) == 1
         assert faulty_lines[changed[0]] == "0.5,0.5,nan,nan,nan,false"
+
+    def test_divergent_levels_get_nan_rows(self, capsys, tmp_path):
+        # rq at 2 alpha = 0.8: the u = 0 integral converges, the others diverge.
+        out = tmp_path / "sweep.json"
+        code, _, err = run(capsys, "sweep", "--kernel", "rq", "--alpha-shape", "0.4",
+                           "--axis", "u:0:1:3", "--quantity", "fano", "--out", str(out))
+        assert code == EXIT_NUMERIC
+        assert [line.split(":")[0] for line in err.splitlines()] == ["sweep row u=0.5", "sweep row u=1"]
+        assert "diverges" in err
+        rows = json.loads(out.read_text())
+        assert [r["converged"] for r in rows] == [True, False, False]
+        assert math.isfinite(rows[0]["fano"]) and math.isnan(rows[1]["fano"])
 
     def test_far_levels_keep_converged_rows(self, capsys, tmp_path):
         out = tmp_path / "sweep.json"

@@ -304,7 +304,7 @@ class TestPerKernelWork:
         fano(kernel, 1.0, "up")
         zero_level_stats(kernel, None, "up")
         assert calls == [kernel]
-        assert isinstance(crossings._gate(kernel), tuple)  # callers cannot alter the cache
+        assert kernel._gate_cache == ()  # a passing gate caches no warnings
 
     def test_failing_gate_raises_on_every_call(self, monkeypatch):
         calls = []
@@ -312,12 +312,12 @@ class TestPerKernelWork:
         def failing(kernel):
             calls.append(kernel)
             return ValidityReport(checks={"positive_moments": (True, {}),
-                                          "short_lag_integrable": (False, {})})
+                                          "series_matches": (False, {})})
 
         monkeypatch.setattr(crossings, "check_validity", failing)
         kernel = make_sdho(1.0, 0.7, 1.0)
         for _ in range(3):
-            with pytest.raises(crossings.ValidityError, match="short_lag_integrable"):
+            with pytest.raises(crossings.ValidityError, match="series_matches"):
                 variance_rate_asymptotic(kernel, 0.5, "up")
         assert calls == [kernel]
 
@@ -673,6 +673,49 @@ class TestFano:
         assert rows == [levels, levels]
         monkeypatch.undo()
         assert dimensionless_fano(k, levels) == tuple(dimensionless_fano(k, psi) for psi in levels)
+
+
+class TestPowerLawTails:
+    """rq's tail r ~ t^-2 alpha: the long-time excess decays like r at u != 0
+    and like r^2 at u = 0, so its integral diverges for 2 alpha <= 1 at
+    u != 0 and for 4 alpha <= 1 at u = 0."""
+
+    @pytest.mark.parametrize("alpha, u", [(0.3, 0.5), (1e-12, 0.0), (0.5, 0.5), (0.2, 0.0),
+                                          (0.5, -1e-300)])
+    @pytest.mark.parametrize("mode", ["up", "total"])
+    def test_divergent_long_time_statistics_raise(self, alpha, u, mode):
+        # These gave numbers, some "converged" (alpha 0.3 at u 0.5 read F 5.9e5).
+        kernel = make_rational_quadratic(1.0, 1.0, alpha)
+        message = rf"alpha_shape={alpha:g}\).* at u={u!r} diverges .* k = {2.0 * alpha!r} "
+        calls = [lambda: variance_rate_asymptotic(kernel, u, mode),
+                 lambda: fano(kernel, [u, 1.0], mode)]
+        if u == 0.0:
+            calls.append(lambda: zero_level_stats(kernel, None, mode))
+        for call in calls:
+            with pytest.raises(crossings.ValidityError, match=message):
+                call()
+        # A window integrates a finite range (at alpha 1e-12 its direct lags
+        # lose D_beta's sign, as before).
+        if alpha > 1e-12:
+            assert variance_count(kernel, u, 10.0, mode).quad_converged
+
+    def test_only_divergent_levels_are_refused(self):
+        # At 2 alpha = 0.8 the u = 0 integral converges and every other diverges.
+        kernel = make_rational_quadratic(1.0, 1.0, 0.4)
+        assert variance_rate_asymptotic(kernel, 0.0).quad_converged
+        assert variance_rate_asymptotic(kernel, 1e300).variance == 0.0  # no crossings, no integral
+        with pytest.raises(crossings.ValidityError, match="at u=0.5 diverges"):
+            variance_rate_asymptotic(kernel, [0.0, 0.5])
+
+    @pytest.mark.parametrize("alpha", [0.75, 2.0])
+    def test_convergent_statistics_carry_no_warnings(self, alpha):
+        kernel = make_rational_quadratic(1.0, 1.0, alpha)
+        for mode in ("up", "total"):
+            stats = [*variance_rate_asymptotic(kernel, [0.0, 0.5, 1.5], mode),
+                     variance_count(kernel, 0.5, 20.0, mode), zero_level_stats(kernel, None, mode),
+                     zero_level_stats(kernel, 20.0, mode)]
+            assert [st.warnings for st in stats] == [()] * len(stats)
+            assert all(st.quad_converged for st in stats)
 
 
 def _float_zero(kernel, mode):

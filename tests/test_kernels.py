@@ -10,8 +10,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from levelcross import crossings, quadrature
 from levelcross.kernels import (
     KernelError,
+    SquaredExponentialKernel,
     check_validity,
     make_ou_mean_revert,
     make_rational_quadratic,
@@ -213,6 +215,29 @@ class TestKernelsAgainstMpmath:
                 assert abs(value - want) <= 1e-15 * scale, (name, t)
 
 
+class _WrongA4(SquaredExponentialKernel):
+    """The squared exponential with its series' a_4 1% off."""
+
+    def _taylor_coefficients(self):
+        a = super()._taylor_coefficients()
+        a[4] *= 1.01
+        return a
+
+
+class _Sloped(SquaredExponentialKernel):
+    """The squared exponential times 1 - 0.01 t, in closed form and series
+    alike: a one-sided series with a_1 = -0.01."""
+
+    def _rpq(self, t, *xp):
+        r, p, q = super()._rpq(t, *xp)
+        s = 1.0 - 0.01 * t
+        return r * s, p * s - 0.01 * r, q * s + 0.02 * p
+
+    def _taylor_coefficients(self):
+        a = super()._taylor_coefficients()
+        return a - 0.01 * np.concatenate([[0.0], a[:-1]])
+
+
 class TestValidation:
     @pytest.mark.parametrize("bad", [
         lambda: make_sdho(-1.0, 0.5, 1.0),
@@ -270,18 +295,35 @@ class TestValidation:
             report = check_validity(k)
             assert report.all_passed, report.checks
 
-    def test_validity_short_lag_check_present(self):
-        report = check_validity(make_ou_mean_revert(1.0, 0.5, 1.0))
-        assert report.passed("short_lag_integrable")
-        assert report.passed("positive_moments")
+    def test_validity_runs_the_two_checks_on_one_lag(self, monkeypatch):
+        # The gate evaluates the kernel once, at the switch lag, and integrates nothing.
+        kernel = make_rational_quadratic(1.0, 1.0, 0.75)
+        calls = []
+        original = type(kernel).eval
 
-    def test_heavy_tail_rq_flags_decay(self):
-        # alpha_shape=0.75 decays as t^-1.5: the 3-decade decay check and
-        # the weighted-tail check legitimately fail; the hard gates hold.
-        report = check_validity(make_rational_quadratic(1.0, 1.0, 0.75))
-        assert report.passed("short_lag_integrable")
-        assert report.passed("positive_moments")
-        assert not report.passed("weighted_tail_integrable")
+        def never(*args, **kwargs):
+            raise AssertionError("the gate evaluates one lag and integrates nothing")
+
+        monkeypatch.setattr(type(kernel), "eval", lambda self, t: calls.append(t) or original(self, t))
+        monkeypatch.setattr(type(kernel), "eval_array", never)
+        monkeypatch.setattr(quadrature, "_quadrature", never)
+        report = check_validity(kernel)
+        assert calls == [0.1 * kernel.series_scale]
+        assert list(report.checks) == ["positive_moments", "series_matches"] and report.all_passed
+
+    @pytest.mark.parametrize("kernel", [_WrongA4(1.0, 1.0), _Sloped(1.0, 1.0)],
+                             ids=["a_4 1% off", "a_1 = -0.01"])
+    def test_series_that_misses_eval_fails_the_gate(self, kernel):
+        # Below the switch lag the statistics take the series: a wrong a_4
+        # moved F at u = 0.5 by 5x its error bar, without a warning, and
+        # a_1 != 0 raised DegenerateLagError.
+        report = check_validity(kernel)
+        assert report.passed("positive_moments") and not report.passed("series_matches")
+        for call in (lambda: crossings.variance_rate_asymptotic(kernel, 0.5),
+                     lambda: crossings.variance_count(kernel, 0.5, 10.0)):
+            with pytest.raises(crossings.ValidityError, match=r"series_matches.*'t': 0\.1,") as err:
+                call()
+            assert "positive_moments" not in str(err.value) and "np.float64" not in str(err.value)
 
 
 class TestArrayEvaluation:

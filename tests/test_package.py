@@ -53,6 +53,25 @@ def test_import_leaves_monte_carlo_unloaded_until_used():
     assert probe["montecarlo_names"] == []
 
 
+def test_every_module_all_resolves():
+    # Each public module declares __all__, and every module's names resolve,
+    # once each; running __main__ would run the CLI.
+    import importlib
+    import pkgutil
+
+    import levelcross
+    for info in pkgutil.iter_modules(levelcross.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"levelcross.{info.name}")
+        names = getattr(module, "__all__", None)
+        if names is None:
+            assert info.name.startswith("_"), info.name
+            continue
+        assert len(set(names)) == len(names), info.name
+        assert [n for n in names if not hasattr(module, n)] == [], info.name
+
+
 def test_python_dash_m_runs_the_cli():
     proc = _python("-m", "levelcross", "stats", "--kernel", "sdho", "--json")
     assert proc.returncode == 0, proc.stderr

@@ -176,14 +176,28 @@ class TestSemiInfiniteRows:
         assert integrate_semi_infinite_rows(lambda ts: 1 / 0, 0, 0.0, open_left=1e-7) == []
 
     def test_nonfinite_value_raises(self):
+        last = []
+
         def rows(ts):
+            last[:] = [ts[-1]]
             values = np.ones((2, len(ts)))
             values[1, -1] = math.nan
             return values
 
         with pytest.raises(IntegrationError) as err:
             integrate_semi_infinite_rows(rows, 2, 0.0, open_left=1e-7)
-        assert 0.0 < err.value.abscissa < 1.0
+        assert err.value.abscissa == last[0]  # the lag f was given
+
+    def test_nonfinite_value_reports_its_lag(self):
+        # The lag, past lo, in the message and the attribute; not the tail
+        # map's coordinate x in [0, 1).
+        def rows(ts):
+            return np.where(ts > 3.0, math.nan, 1.0)[None, :]
+
+        with pytest.raises(IntegrationError) as err:
+            integrate_semi_infinite_rows(rows, 1, 10.0, open_left=1e-7)
+        assert err.value.abscissa > 10.0
+        assert str(err.value) == f"non-finite integrand value at t={err.value.abscissa!r}"
 
 
 class TestErrorHonesty:
