@@ -39,10 +39,11 @@ Where each piece comes from:
   over the four short-lag series polynomials, and ``_lag_params``'
   arithmetic (``_lag_fields``) and checks on arrays;
 * ``_lag_integral`` fixes the integration policy of every statistic (open
-  left end, breakpoints, tail map), and ``_assemble`` is the only
-  variance-assembly path (validity gate, mean + 2 int I, clamping) behind
-  ``variance_count``, ``variance_rate_asymptotic``, ``fano`` and
-  ``zero_level_stats``, one level and sweep rows alike;
+  left end, breakpoints, tail map, the closed-form linear tail), and
+  ``_assemble`` is the only variance-assembly path (validity gate,
+  mean + 2 int I, clamping) behind ``variance_count``,
+  ``variance_rate_asymptotic``, ``fano`` and ``zero_level_stats``, one
+  level and sweep rows alike;
 * the quadrature is :mod:`levelcross.quadrature`, the validity gate
   :func:`levelcross.kernels.check_validity`, whose module owns the switch
   lag to the short-lag series (``_SERIES_FRACTION``).
@@ -55,7 +56,8 @@ Three numerical regimes of the integrand are handled explicitly:
   happen exactly in coefficient space;
 * ordinary lags: direct closed-form evaluation, with the potentially
   overflowing exp*erf product rewritten with strictly non-positive
-  exponents;
+  exponents, and r - r0 taken from the kernel (``KernelDerivatives.rm``),
+  which forms it without the cancellation of the difference;
 * weak correlation (all of |r|/r0, |q|/q0, |p|/sqrt(r0 q0) below 1e-4):
   the bracket cancels against the product term catastrophically in double
   precision, so the integrand switches to a third-order expansion in the
@@ -63,6 +65,16 @@ Three numerical regimes of the integrand are handled explicitly:
   (correlation level)^2 even where the excess itself is second order; it
   is closed form, polynomials in the normalised correlations contracted
   with unit-moment tables built at import.
+
+The long-time integral has a fourth piece, the tail past
+t_s = 32 tau_slow.  There each level integrates I - Lin, where
+Lin = a r + b q is the expansion's first-order part (``_linear``), and
+int_{t_s}^inf Lin joins in closed form (``_linear_tail``, from
+``Kernel.tail_integral`` and p(t_s)).  Lin decays like r itself at u != 0:
+for a power-law kernel, r ~ t^-2 alpha, the tail map hands the rest an
+integrable end point instead of a singularity that GK15 under-resolves
+while its error estimate stays small.  For exponential tails Lin is e^-32
+small at t_s, and values move by rounding.
 
 The validity gate's outcome and the short-lag series tables are cached on
 the kernel, so each is computed once per kernel; a kernel whose series
@@ -72,28 +84,28 @@ gate, or a long-time level whose integral diverges (``_row``),
 ``variance_rate_asymptotic`` takes one level or a sequence of levels (one
 sweep row), and a scalar level is a row of one.  Each level keeps its own
 adaptive mesh, so every result equals its single-level call bit for bit,
-but the levels are integrated in lockstep
-(:func:`levelcross.quadrature.integrate_semi_infinite_rows`): each round,
-one ``_panel`` call gives every level's values at the lags of every panel
-that some level asks for and no earlier round gave, the level-free work as
-arrays over those lags (``_lags``), then one array expression per regime.
-Round 0 also evaluates the open-left stub panels that every level asks for
-one at a time later, so a 9-level row takes a handful of ``_panel`` calls.
-The table of panels lives for that one call and is never stored on the
-kernel.  A row of one gives the float path's value, error and evaluation
-count for less CPU (2.7 times less on average over seven kernel families).
-The long-time zero-level statistics are rows of one as well, of the arctan
-form (``_panel`` takes the per-regime expression): 3.0 times less CPU.  A
-long-time row raises what its failing round raises; there is no fallback.
+but the levels are integrated in lockstep (the quadrature's lockstep
+driver): each round, one ``_panel`` call gives every level's values at the
+lags of every panel that some level asks for and no earlier round gave,
+the level-free work as arrays over those lags (``_lags``), then one array
+expression per regime.  Round 0 also evaluates the open-left stub panels
+that every level asks for one at a time later, so a 9-level row takes a
+handful of ``_panel`` calls.  The table of panels lives for that one call
+and is never stored on the kernel.  A row of one gives the float path's
+value, error and evaluation count for less CPU (2.7 times less on average
+over seven kernel families).  The zero-level statistics are rows of one as
+well, of the arctan form (``_panel`` takes the per-regime expression):
+long-time ones on the tail map (3.0 times less CPU), windows on the
+finite range [0, T] with the weight 1 - t/T (about 7 times less).  A row
+raises what its failing round raises; there is no fallback.
 
 The float path (``_lag``, one integrand call per lag, ``_float_stats``) has
-one production use left: finite windows (``variance_count``, and
-``zero_level_stats`` with T).  With T None it stays the reference the
-long-time rows are tested against.  Moving windows onto the array path,
-like a faster float ``_horner``, waits for a benchmark that no longer
-couples throughput and memory (ROADMAP item 1): ``perfbench``'s worker
-keeps every operation until it reads the peak RSS, so a faster
-``stats_mix`` reads a higher ``peak_rss_mb`` (see ``zero_level_stats``).
+one production use left: ``variance_count``.  Otherwise it stays the
+reference the rows are tested against.  Moving ``variance_count`` onto the
+driver, like a faster float ``_horner``, waits for a benchmark that no
+longer couples throughput and memory (ROADMAP item 1): ``perfbench``'s
+worker keeps every operation until it reads the peak RSS, so a faster
+``stats_mix`` reads a higher ``peak_rss_mb``.
 """
 
 from __future__ import annotations
@@ -102,13 +114,13 @@ import enum
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import _xp
 from .kernels import _SERIES_FRACTION, Kernel, KernelDerivatives, KernelError, check_validity
-from .quadrature import (QuadratureResult, QuadratureSpec, integrate_finite,
+from .quadrature import (QuadratureResult, QuadratureSpec, integrate_finite, integrate_finite_rows,
                          integrate_semi_infinite_rows, pointwise)
 from .special import erf, owens_t
 
@@ -283,7 +295,7 @@ def _lag_params(kernel: Kernel, t: float, d: KernelDerivatives | None = None) ->
         if d is None:
             d = kernel.eval(t)
         p = d.p
-        rm = d.r - r0
+        rm = d.rm
         rp = d.r + r0
         d_alpha = p * p + (d.q - q0) * rp
         d_beta = p * p + (d.q + q0) * rm
@@ -337,12 +349,13 @@ def _lag(kernel: Kernel, t: float):
     return _lag_params(kernel, t, d)
 
 
-def _lags(kernel: Kernel, t: np.ndarray) -> list:
+def _lags(kernel: Kernel, t: np.ndarray) -> tuple[list, KernelDerivatives | None]:
     """``_lag`` over an array of lags, with the same bits, as (columns, lag)
     pairs: the ``KernelDerivatives`` of the weak-correlation lags and the
-    ``_lag_params`` fields of the others, as arrays in node order.  If a lag
-    fails one of ``_lag_params``' checks, it raises ``_lag_params``' error at
-    the first such lag."""
+    ``_lag_params`` fields of the others, as arrays in node order; and the
+    ``KernelDerivatives`` of every direct lag (None if there is none).  If
+    a lag fails one of ``_lag_params``' checks, it raises ``_lag_params``'
+    error at the first such lag."""
     r0, q0 = kernel.r0, kernel.q0
     series = t < _SERIES_FRACTION * kernel.series_scale
     n_series = np.count_nonzero(series)
@@ -350,7 +363,7 @@ def _lags(kernel: Kernel, t: np.ndarray) -> list:
     direct = slice(None) if n_series == 0 else ~series
     series = slice(None) if n_series == len(t) else series
     values = np.empty((5, len(t)))  # p, r - r0, r + r0, D_alpha, D_beta
-    strong, groups = slice(None), []
+    strong, groups, d = slice(None), [], None
     if n_series:
         # _horner on the four polynomials at once, laid end to end in flat
         # arrays (numpy costs less per call on them than on (4, lags) ones).
@@ -362,7 +375,7 @@ def _lags(kernel: Kernel, t: np.ndarray) -> list:
         d = kernel.eval_array(t[direct])
         weak = np.maximum(np.maximum(abs(d.r) / r0, abs(d.q) / q0),
                           abs(d.p) / math.sqrt(r0 * q0)) < _WEAK_CORRELATION
-        rm, rp, pp = d.r - r0, d.r + r0, d.p * d.p
+        rm, rp, pp = d.rm, d.r + r0, d.p * d.p
         values[:, direct] = d.p, rm, rp, pp + (d.q - q0) * rp, pp + (d.q + q0) * rm
         if np.count_nonzero(weak):
             cols = np.zeros(len(t), dtype=bool)
@@ -371,7 +384,7 @@ def _lags(kernel: Kernel, t: np.ndarray) -> list:
             strong = ~cols
     p, rm, rp, d_alpha, d_beta = values[:, strong]
     if not p.size:
-        return groups
+        return groups, d
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # checked below
         lag = _lag_fields(p, rm, rp, d_alpha, d_beta)
     alpha, beta, delta, _, rr_diff, _, _ = lag
@@ -380,7 +393,7 @@ def _lags(kernel: Kernel, t: np.ndarray) -> list:
     if not (positive.min() > 0.0 and rr_diff.max() < math.inf):
         first = np.flatnonzero(~((positive > 0.0).all(axis=0) & (rr_diff < math.inf)))[0]
         raise _lag_error(*(float(v[first]) for v in (t[strong], rr_diff, d_alpha, d_beta)))
-    return groups + [(strong, lag)]
+    return groups + [(strong, lag)], d
 
 
 # -- closed-form integrands ---------------------------------------------------
@@ -523,14 +536,72 @@ def _zero_excess(kernel: Kernel, u, lag, total: bool, xp=_Floats):
     )
 
 
-def _panel(kernel: Kernel, levels: np.ndarray, ts, total: bool, excess=_excess) -> np.ndarray:
+def _linear(kernel: Kernel, levels: np.ndarray, total: bool, r, q) -> np.ndarray:
+    """Lin = a r + b q, the first-order part of ``_linearized``, for a
+    column of levels over the lags where the kernel gives r and q.
+
+    In ``_linearized``'s terms Lin = A (m0 v^2 rho + m3 kappa), with
+    A = (q0/r0) e^{-v^2}/(2 pi) and (m0, m3) the entries 0 and 3 of M1:
+    (1/(2 pi), 1/4) up and (2/pi, 0) total.  So a = A m0 v^2/r0 and
+    b = A m3/q0, formed per level in Python floats.  It is the excess's
+    slowest-decaying part, as slow as r itself at u != 0 (the Hermite-rank-one
+    term of Cuzick 1976 and Kratz & Leon 2001), and ``_linear_tail``
+    integrates it in closed form.
+    """
+    a, b = _linear_terms(kernel, levels, total)
+    return np.array(a)[:, None] * r + np.array(b)[:, None] * q
+
+
+def _linear_terms(kernel: Kernel, levels: np.ndarray, total: bool) -> tuple[list, list]:
+    """``_linear``'s coefficients (a, b), one of each per level."""
+    r0, q0 = kernel.r0, kernel.q0
+    m1 = _WEAK_TABLES[total][0]
+    a, b = [], []
+    for u in levels.ravel().tolist():
+        v2 = u * u / r0
+        amp = q0 / r0 * math.exp(-v2) / (2.0 * math.pi)
+        a.append(amp * float(m1[0]) * v2 / r0)
+        b.append(amp * float(m1[3]) / q0)
+    return a, b
+
+
+def _tail_start(kernel: Kernel) -> float:
+    """t_s = 32 tau_slow, where long-time integrands switch to I - Lin: a
+    breakpoint of the tail map, so no panel straddles it, and past the
+    switch lag to the short-lag series (0.1 series_scale <= 0.1 tau_slow),
+    so every lag beyond it is a direct one."""
+    return 32.0 * kernel.tau_slow
+
+
+def _linear_tail(kernel: Kernel, levels: np.ndarray, total: bool) -> list[float]:
+    """int_{t_s}^inf Lin, exactly, for each level: a R(t_s) + b p(t_s), with
+    R(t) = int_t^inf r (``Kernel.tail_integral``) and int_t^inf q = p(t).
+    The a R term is absent where a = 0 (u = 0), so an infinite R(t_s) never
+    enters there."""
+    t_s = _tail_start(kernel)
+    a, b = _linear_terms(kernel, levels, total)
+    p = kernel.eval(t_s).p
+    rho = kernel.tail_integral(t_s) if any(a) else 0.0
+    return [(ai * rho if ai else 0.0) + bi * p for ai, bi in zip(a, b)]
+
+
+def _panel(kernel: Kernel, levels: np.ndarray, ts, total: bool, excess=_excess,
+           t_s: float = math.inf) -> np.ndarray:
     """Every level's excess at every lag ts, as a (levels, lags) array: the
     level-free work as arrays over the lags (``_lags``), then one array
-    expression per regime, ``_excess`` or the zero level's ``_zero_excess``."""
+    expression per regime, ``_excess`` or the zero level's ``_zero_excess``.
+    At lags t >= t_s it gives I - Lin (``_linear``), from the same kernel
+    evaluation."""
+    ts = np.asarray(ts, dtype=float)
     values = np.empty((len(levels), len(ts)))
-    for cols, lag in _lags(kernel, np.asarray(ts, dtype=float)):
+    groups, d = _lags(kernel, ts)
+    for cols, lag in groups:
         with np.errstate(all="ignore"):  # the integrator rejects a non-finite value
             values[:, cols] = excess(kernel, levels, lag, total, _Arrays)
+    far = ts >= t_s
+    if np.count_nonzero(far):  # every far lag is direct (_tail_start)
+        far_d = d.t >= t_s
+        values[:, far] -= _linear(kernel, levels, total, d.r[far_d], d.q[far_d])
     return values
 
 
@@ -574,15 +645,28 @@ def mean_count(kernel: Kernel, u: float, T: float, mode=CrossingMode.UP) -> floa
 def _float_stats(kernel: Kernel, u: float, mode: CrossingMode, T: float | None,
                  spec: QuadratureSpec | None, excess=_excess) -> CrossingStats:
     """One level's statistics on the float path (``_lag``), one integrand call
-    per lag, for windows; for ``excess=_zero_excess``, through
-    ``_integrand_zero``.  With T None, the tests' long-time reference."""
+    per lag, for ``variance_count``; for ``excess=_zero_excess``, through
+    ``_integrand_zero``.  Otherwise the tests' reference: with T None it
+    integrates a row of one, I - Lin past t_s as ``_panel`` gives it (the
+    kernel evaluated once more at those lags)."""
     total = mode is CrossingMode.TOTAL
     f = pointwise(functools.partial(_integrand_zero, kernel, total=total) if excess is _zero_excess
                   else functools.partial(integrand_total if total else integrand_up, kernel, u))
-    if T is None:  # a row of one
-        return _assemble(kernel, u, mode, T, lambda: _lag_integral(
-            kernel, lambda ts: np.array([f(ts.tolist())]), T, spec)[0])
-    return _assemble(kernel, u, mode, T, lambda: _lag_integral(kernel, f, T, spec))
+    if T is not None:
+        return _assemble(kernel, u, mode, T, lambda: _lag_integral(kernel, f, T, spec))
+    levels = np.array([[float(u)]])
+    t_s = _tail_start(kernel)
+
+    def row(ts):
+        values = np.array([f(ts.tolist())])
+        far = ts >= t_s
+        if np.count_nonzero(far):
+            d = kernel.eval_array(ts[far])
+            values[:, far] -= _linear(kernel, levels, total, d.r, d.q)
+        return values
+
+    return _assemble(kernel, u, mode, None,
+                     lambda: _lag_integral(kernel, row, None, spec, levels, total)[0])
 
 
 def _gate(kernel: Kernel) -> None:
@@ -600,19 +684,34 @@ def _gate(kernel: Kernel) -> None:
 
 
 def _lag_integral(kernel: Kernel, f, T: float | None, spec: QuadratureSpec | None,
-                  rows: int = 1):
+                  levels: np.ndarray | None = None, total: bool = False):
     """int_0^inf f, or int_0^T (1-t/T) f, with breakpoints at multiples of
     tau_slow: the integration policy of every statistic.  f is 0/0 at lag 0,
     so the left end stays open, and one tail map on tau_slow serves every
-    family.  With T None, f is ``rows`` long-time integrands at once and the
-    result one ``QuadratureResult`` per row."""
+    family.
+
+    With ``levels``, a column, f gives those levels' integrands at once, as
+    a (levels, lags) array, and the result is one ``QuadratureResult`` per
+    level, from the one lockstep driver on either range.  A long-time f
+    gives I - Lin past t_s (``_panel``), so each value gains int_{t_s}^inf
+    Lin in closed form (``_linear_tail``): the integrator then never meets
+    the slow tail of a power-law kernel, which it under-resolves while its
+    error estimate stays small.  Without ``levels``, f is one window's float
+    integrand, integrated a panel at a time (``integrate_finite``).
+    """
     tau = kernel.tau_slow
     open_left = 1e-7 * tau
     if T is None:
-        return integrate_semi_infinite_rows(f, rows, 0.0, spec, scale=tau, open_left=open_left)
+        results = integrate_semi_infinite_rows(f, len(levels), 0.0, spec, scale=tau,
+                                               open_left=open_left)
+        return [replace(result, value=result.value + tail)
+                for result, tail in zip(results, _linear_tail(kernel, levels, total))]
     breaks = [m * tau for m in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)]
-    return integrate_finite(lambda ts: [(1.0 - t / T) * v for t, v in zip(ts, f(ts))],
-                            0.0, T, spec, open_left=open_left, breakpoints=breaks)
+    if levels is None:
+        return integrate_finite(lambda ts: [(1.0 - t / T) * v for t, v in zip(ts, f(ts))],
+                                0.0, T, spec, open_left=open_left, breakpoints=breaks)
+    return integrate_finite_rows(lambda ts: (1.0 - ts / T) * f(ts), len(levels), 0.0, T, spec,
+                                 open_left=open_left, breakpoints=breaks)
 
 
 def _assemble(kernel: Kernel, u: float, mode: CrossingMode, T: float | None,
@@ -681,27 +780,32 @@ def variance_rate_asymptotic(
 
 
 def _row(kernel: Kernel, u, mode: CrossingMode, spec: QuadratureSpec | None,
-         excess=_excess) -> tuple:
-    """Long-time statistics of a row of levels, integrated in lockstep, each
-    on its own adaptive mesh: every round, one ``_panel`` call evaluates
-    every live level at the lags of every panel that any level asks for and
-    no earlier round gave (see ``integrate_semi_infinite_rows``).  A row
-    raises what the gate or its failing round raises, with no fallback, or
-    ``ValidityError`` first at a live level whose integral diverges: for
-    r ~ t^-k (``Kernel.tail_power``), k <= 1, or k <= 1/2 at u = 0."""
+         excess=_excess, T: float | None = None) -> tuple:
+    """Long-time statistics of a row of levels, or a window's with T,
+    integrated in lockstep, each on its own adaptive mesh: every round, one
+    ``_panel`` call evaluates every live level at the lags of every panel
+    that any level asks for and no earlier round gave (the quadrature's
+    lockstep driver, on either range).  A row raises what the means, the gate
+    or its failing round raise, in ``_assemble``'s order, with no fallback,
+    or ``ValidityError`` first at a live long-time level whose integral
+    diverges: for r ~ t^-k (``Kernel.tail_power``), k <= 1, or k <= 1/2 at
+    u = 0."""
+    means = [mean_rate(kernel, level, mode) if T is None else mean_count(kernel, level, T, mode)
+             for level in u]
     _gate(kernel)  # before any integration, as in _assemble
     total = mode is CrossingMode.TOTAL
     # The levels whose mean underflows never integrate (see _assemble).
-    live = [i for i, level in enumerate(u) if mean_rate(kernel, level, mode) != 0.0]
+    live = [i for i, mean in enumerate(means) if mean != 0.0]
     k = kernel.tail_power
-    for i in live:
+    for i in live if T is None else ():  # a window integrates a finite range
         if k <= (1.0 if u[i] != 0.0 else 0.5):
             raise ValidityError(f"{kernel!r}: the long-time variance at u={float(u[i])} diverges "
                                 f"for r ~ t^-k, k = {k} (it needs k > 1, or k > 1/2 at u = 0)")
     levels = np.array([u[i] for i in live], dtype=float)[:, None]
+    t_s = _tail_start(kernel) if T is None else math.inf
     results = dict(zip(live, _lag_integral(
-        kernel, lambda ts: _panel(kernel, levels, ts, total, excess), None, spec, len(live))))
-    return tuple(_assemble(kernel, level, mode, None, lambda i=i: results[i])
+        kernel, lambda ts: _panel(kernel, levels, ts, total, excess, t_s), T, spec, levels, total)))
+    return tuple(_assemble(kernel, level, mode, T, lambda i=i: results[i])
                  for i, level in enumerate(u))
 
 
@@ -726,18 +830,13 @@ def zero_level_stats(
 
     An independent cross-check path: it never touches erf or Owen's T, and
     shares only the weak-correlation expansion with the general path.
-    T=None computes the asymptotic rates, as a row of one (``_row``), with
-    the value, error and evaluation count of the float path; it raises what
-    its failing round raises.  With T it computes the finite-T variance on
-    the float path: windows move to the driver once the benchmark's peak RSS
-    no longer follows its throughput (ROADMAP item 1), since moving these
-    read +4.3% median ``stats_mix`` ``peak_rss_mb``, against +1.4% for the
-    long-time ones and a 5% bound.
+    T=None computes the asymptotic rates, with T the finite-T variance:
+    either way a row of one on the lockstep driver (``_row``), on the tail
+    map or on [0, T] with the weight 1 - t/T, with the value, error,
+    evaluation count and exceptions of the float path; it raises what its
+    failing round raises.
     """
-    mode = _mode(mode)
-    if T is None:
-        return _row(kernel, (0.0,), mode, spec, _zero_excess)[0]
-    return _float_stats(kernel, 0.0, mode, T, spec, _zero_excess)
+    return _row(kernel, (0.0,), _mode(mode), spec, _zero_excess, T)[0]
 
 
 def _unit_kernel(family: str, shape: dict) -> Kernel:

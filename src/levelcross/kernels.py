@@ -18,9 +18,13 @@ part.  Below critical damping the oscillator takes a circular form
 instead; the form is picked from the damping ratio once per kernel.
 
 Every kernel evaluates (r(t), r'(t), -r''(t)) in closed form -- no numeric
-differentiation -- and carries a one-sided Taylor expansion of r about
-t = 0 (to t^16) that downstream code uses for cancellation-safe short-lag
-evaluation of the crossing parameters.
+differentiation -- with r(t) - r0 formed without the cancellation of the
+difference (except below critical damping, where it loses a few hundred
+ulps at most); carries a one-sided Taylor expansion of r about t = 0 (to
+t^16) that downstream code uses for cancellation-safe short-lag evaluation
+of the crossing parameters; and gives R(t) = int_t^inf r(s) ds in closed
+form (``tail_integral``), which the long-time statistics add for the part
+of their tail that decays like r.
 
 Each family's closed form is written once, in the operations of
 :mod:`levelcross._xp`, and serves ``Kernel.eval`` (one lag, Python floats)
@@ -39,6 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._xp import _Arrays, _Floats
+from .special import beta, betainc, erfc
 
 __all__ = [
     "Kernel",
@@ -63,12 +68,14 @@ class KernelError(ValueError):
 
 
 class KernelDerivatives(NamedTuple):
-    """(r, p, q) = (r(t), r'(t), -r''(t)) at one lag t."""
+    """(r, p, q) = (r(t), r'(t), -r''(t)) at one lag t, and rm = r(t) - r0,
+    formed without the cancellation of the difference."""
 
     r: float
     p: float
     q: float
     t: float
+    rm: float
 
 
 class Kernel(ABC):
@@ -112,20 +119,20 @@ class Kernel(ABC):
         self._gate_cache = None
 
     def eval(self, t: float) -> KernelDerivatives:
-        """Closed-form (r, p, q) at lag t >= 0."""
+        """Closed-form (r, p, q) and r - r0 at lag t >= 0."""
         if t < 0.0:
             raise _negative_lag(t)
-        r, p, q = self._rpq(float(t))
-        return KernelDerivatives(r, p, q, float(t))
+        r, p, q, rm = self._rpq(float(t))
+        return KernelDerivatives(r, p, q, float(t), rm)
 
     def eval_array(self, t) -> KernelDerivatives:
-        """(r, p, q) over a 1-D array of lags t >= 0, as arrays with the
-        bits of ``eval`` in every element."""
+        """(r, p, q) and r - r0 over a 1-D array of lags t >= 0, as arrays
+        with the bits of ``eval`` in every element."""
         t = np.asarray(t, dtype=float)
         if np.count_nonzero(t < 0.0):
             raise _negative_lag(float(t[t < 0.0][0]))
-        r, p, q = self._rpq(t, _Arrays)
-        return KernelDerivatives(r, p, q, t)
+        r, p, q, rm = self._rpq(t, _Arrays)
+        return KernelDerivatives(r, p, q, t, rm)
 
     def _check_scales(self) -> None:
         """KernelError unless r0, q0, tau_slow and tau_fast are floats > 0:
@@ -137,7 +144,12 @@ class Kernel(ABC):
 
     @abstractmethod
     def _rpq(self, t, xp=_Floats) -> tuple:
-        """(r, p, q) at t: floats, or arrays with ``xp=_Arrays``."""
+        """(r, p, q, r - r0) at t: floats, or arrays with ``xp=_Arrays``."""
+
+    @abstractmethod
+    def tail_integral(self, t: float) -> float:
+        """R(t) = int_t^inf r(s) ds in closed form, for one lag t >= 0: inf
+        where the integral diverges."""
 
     @abstractmethod
     def _taylor_coefficients(self) -> np.ndarray:
@@ -170,14 +182,19 @@ def _over(num: float, den: float) -> float:
 
 
 def _two_rates(xp, t, amp, slow, gap):
-    """(r, p, q) of r(t) = amp e^{-slow t} (1 - (slow/gap) expm1(-gap t)).
+    """(r, p, q, r - amp) of r(t) = amp e^{-slow t} (1 - (slow/gap) expm1(-gap t)).
 
     This is the correlation amp (fast e^{-slow t} - slow e^{-fast t})/gap of
     the two decay rates slow and fast = slow + gap, with gap >= 0, written
     without their difference: with g = (1 - e^{-gap t})/gap in [0, t] (t at
-    gap = 0), r = amp e^{-slow t}(1 + slow g), p = -amp slow fast g e^{-slow t}
-    and q = amp slow fast e^{-slow t}(e^{-gap t} - slow g), so nothing
-    cancels but q at its sign change, and no exponent is positive.
+    gap = 0), r = amp e^{-slow t}(1 + slow g), p = -amp slow fast g e^{-slow t},
+    q = amp slow fast e^{-slow t}(e^{-gap t} - slow g) and
+    r - amp = amp (expm1(-slow t) + slow g e^{-slow t}), so nothing cancels
+    but q at its sign change and r - amp at its leading order, and no
+    exponent is positive.  The grouping of r - amp matters: as
+    amp (expm1(-slow t)(1 + slow g) + slow g) it holds terms that grow like
+    slow t and loses three bits at t = 10/slow, enough to move the excess
+    integrand there, which sits nine digits below its own terms.
     """
     fast = slow + gap
     decay = xp.exp(-slow * t)
@@ -189,7 +206,17 @@ def _two_rates(xp, t, amp, slow, gap):
     r = amp * decay * (1.0 + slow * g)
     p = -amp * slow * fast * g * decay
     q = amp * slow * fast * decay * (1.0 + em - slow * g)
-    return r, p, q
+    rm = amp * (xp.expm1(-slow * t) + slow * g * decay)
+    return r, p, q, rm
+
+
+def _two_rates_tail(t, amp, slow, gap):
+    """R(t) of ``_two_rates``' r: amp e^{-slow t}(1/slow + 1/fast + slow g/fast),
+    the integral amp (fast e^{-slow t}/slow - slow e^{-fast t}/fast)/gap
+    written, as r is, with g and no difference."""
+    fast = slow + gap
+    g = -math.expm1(-gap * t) / gap if gap > 0.0 else t
+    return amp * math.exp(-slow * t) * (1.0 / slow + 1.0 / fast + slow * g / fast)
 
 
 def _two_rates_taylor(amp, slow, gap) -> np.ndarray:
@@ -264,7 +291,22 @@ class SdhoKernel(Kernel):
         p = -amp * w * w * decay * sv
         # r solves r'' + 2 zeta w r' + w^2 r = 0 for t > 0.
         q = 2.0 * zw * p + w * w * r
-        return r, p, q
+        # Below critical damping |r - r0| is about 0.005 r0 at the switch
+        # lag, so the difference loses a few hundred ulps at most.
+        return r, p, q, r - amp
+
+    def tail_integral(self, t: float) -> float:
+        """R(t) = (p + 2 zeta w r)/w^2, from integrating r'' + 2 zeta w r' +
+        w^2 r = 0 over [t, inf); below critical damping, with s = w_d t,
+        A e^{-zeta w t}(2 zeta cos(s)/w + (2 zeta^2 - 1) sin(s)/w_d), a sum
+        of oscillating terms with no systematic cancellation.  At and above
+        it, ``_two_rates_tail``."""
+        if self._rates is not None:
+            return _two_rates_tail(t, *self._rates)
+        w, z = self.omega0, self.zeta
+        s = self._omega_d * t
+        return self.r0 * math.exp(-z * w * t) * (
+            2.0 * z * math.cos(s) / w + (2.0 * z * z - 1.0) * math.sin(s) / self._omega_d)
 
     def _taylor_coefficients(self) -> np.ndarray:
         if self._rates is not None:
@@ -312,6 +354,10 @@ class OuMeanRevertKernel(Kernel):
     def _rpq(self, t, xp=_Floats):
         return _two_rates(xp, t, *self._rates)
 
+    def tail_integral(self, t: float) -> float:
+        """R(t) in closed form (``_two_rates_tail``)."""
+        return _two_rates_tail(t, *self._rates)
+
     def _taylor_coefficients(self) -> np.ndarray:
         return _two_rates_taylor(*self._rates)
 
@@ -347,13 +393,26 @@ class RationalQuadraticKernel(Kernel):
         s2 = self.sigma * self.sigma
         x = t * t / (2.0 * a * tau2)
         base = 1.0 + x
-        pw = xp.exp(-a * xp.log1p(x))  # base^{-a}, from x rather than the rounded base
+        log_pw = -a * xp.log1p(x)  # log base^{-a}, from x rather than the rounded base
+        pw = xp.exp(log_pw)
         r = s2 * pw
         # r' = -sigma^2 (t/tau^2) base^{-a-1}
         p = -s2 * (t / tau2) * pw / base
         # r'' = -sigma^2/tau^2 base^{-a-2} (base - (a+1) t^2/(a tau^2))
         rpp = -s2 / tau2 * pw / (base * base) * (base - (a + 1.0) * t * t / (a * tau2))
-        return r, p, -rpp
+        return r, p, -rpp, s2 * xp.expm1(log_pw)
+
+    def tail_integral(self, t: float) -> float:
+        """R(t) = (r0/2) sqrt(c) B(alpha - 1/2, 1/2) I_w(alpha - 1/2, 1/2),
+        with c = 2 alpha tau^2 and w = 1/(1 + t^2/c): the substitution
+        w = 1/(1 + s^2/c) turns int_t^inf r into an incomplete beta
+        function.  inf for alpha <= 1/2, where the integral diverges."""
+        a = self.alpha_shape
+        if a <= 0.5:
+            return math.inf
+        c = 2.0 * a * self.tau * self.tau
+        w = 1.0 / (1.0 + t * t / c)
+        return 0.5 * self.r0 * math.sqrt(c) * float(beta(a - 0.5, 0.5) * betainc(a - 0.5, 0.5, w))
 
     def _taylor_coefficients(self) -> np.ndarray:
         a = self.alpha_shape
@@ -389,10 +448,15 @@ class SquaredExponentialKernel(Kernel):
 
     def _rpq(self, t, xp=_Floats):
         tau2 = self.tau * self.tau
-        r = self.r0 * xp.exp(-0.5 * t * t / tau2)
+        arg = -0.5 * t * t / tau2
+        r = self.r0 * xp.exp(arg)
         p = -r * t / tau2
         rpp = r * (t * t / (tau2 * tau2) - 1.0 / tau2)
-        return r, p, -rpp
+        return r, p, -rpp, self.r0 * xp.expm1(arg)
+
+    def tail_integral(self, t: float) -> float:
+        """R(t) = r0 tau sqrt(pi/2) erfc(t/(sqrt(2) tau))."""
+        return self.r0 * self.tau * math.sqrt(0.5 * math.pi) * erfc(t / (math.sqrt(2.0) * self.tau))
 
     def _taylor_coefficients(self) -> np.ndarray:
         coeffs = np.zeros(_TAYLOR_ORDER)

@@ -28,20 +28,23 @@ bisection, no randomness.
 The integrator is written once, as a generator (``_quadrature``): it yields
 the panels it needs (the breakpoint segments, the two halves of a bisected
 panel, each open-left stub panel, the stub's edge point) and is sent back
-their (Kronrod value, error estimate) pairs.  Each range has one driver:
+their (Kronrod value, error estimate) pairs.  Two drivers run it:
 
 * ``integrate_finite`` calls ``f(nodes)`` once per panel, in order, with a
   list of abscissae (the 15 nodes of one Gauss-Kronrod panel, or the single
   edge point) and takes a sequence of as many values back, so an integrand
   can share work across a panel's nodes; a function of one abscissa joins
   through ``pointwise``;
-* ``integrate_semi_infinite_rows`` runs one generator per integrand of a
+* the lockstep driver (``_lockstep``) runs one generator per integrand of a
   family (the levels of a sweep row, or a row of one) in lockstep rounds:
   one f call per round gives every row's values at every panel that some
   row asks for and no earlier round gave.  Round 0 also prefetches the stub
   panels that every row asks for one at a time later, so a row of nine
   levels takes a handful of f calls; if that call raises, round 0 evaluates
-  the requested panels alone and drops the prefetch.
+  the requested panels alone and drops the prefetch.  It takes either
+  range: ``integrate_finite_rows`` on [lo, hi] (the identity map), each
+  row's result equal to ``integrate_finite``'s bit for bit, and
+  ``integrate_semi_infinite_rows`` on [lo, inf) (the tail map).
 
 Either way the values are summed in a fixed order (``_weigh``), as floats or
 as arrays with the same bits, and the first non-finite one, in node order,
@@ -64,6 +67,7 @@ __all__ = [
     "QuadratureResult",
     "IntegrationError",
     "integrate_finite",
+    "integrate_finite_rows",
     "integrate_semi_infinite_rows",
     "pointwise",
 ]
@@ -302,6 +306,21 @@ _TAIL_BREAKS = tuple(m / (m + 4.0) for m in (0.5, 2.0, 8.0, 32.0))
 _ROUND0_STUB = 14
 
 
+def integrate_finite_rows(
+    f: Callable[[np.ndarray], np.ndarray], rows: int, lo: float, hi: float,
+    spec: QuadratureSpec | None = None, *, open_left: float | None = None, breakpoints=(),
+) -> list[QuadratureResult]:
+    """Integrate ``rows`` integrands on [lo, hi] in lockstep, on the
+    identity map: f takes an array of abscissae and returns a (rows,
+    abscissae) array.  The options are ``integrate_finite``'s, and each
+    row's result equals ``integrate_finite``'s on that row's integrand, bit
+    for bit, errors included; the rounds are those of
+    ``integrate_semi_infinite_rows``."""
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    return _lockstep(f, rows, lo, hi, spec, breakpoints, open_left, None)
+
+
 def integrate_semi_infinite_rows(
     f: Callable[[np.ndarray], np.ndarray], rows: int, lo: float,
     spec: QuadratureSpec | None = None, *, scale: float = 1.0, open_left: float | None = None,
@@ -327,12 +346,20 @@ def integrate_semi_infinite_rows(
         raise ValueError(f"scale must be finite and > 0 (got {scale})")
     length = 4.0 * scale
     x_off = None if open_left is None else open_left / (length + open_left)  # in x units
+    return _lockstep(f, rows, 0.0, 1.0, spec, _TAIL_BREAKS, x_off, (lo, length))
+
+
+def _lockstep(f, rows: int, lo: float, hi: float, spec: QuadratureSpec | None, breakpoints,
+              open_left: float | None, tail: tuple[float, float] | None) -> list[QuadratureResult]:
+    """The one lockstep driver: a ``_quadrature`` generator per row on
+    [lo, hi] in the integration variable, which is t itself (``tail`` None)
+    or the tail map's x (``tail`` = (t at x = 0, L))."""
     spec = spec or QuadratureSpec()
-    quadratures = [_quadrature(0.0, 1.0, spec, _TAIL_BREAKS, x_off) for _ in range(rows)]
+    quadratures = [_quadrature(lo, hi, spec, breakpoints, open_left) for _ in range(rows)]
     requests = [next(q) for q in quadratures]
     extra = []
-    if rows and x_off is not None:
-        extra = list(itertools.islice(_halvings(0.0, _stub_edge(0.0, 1.0, x_off)), _ROUND0_STUB))
+    if rows and open_left is not None:
+        extra = list(itertools.islice(_halvings(lo, _stub_edge(lo, hi, open_left)), _ROUND0_STUB))
         extra += [(a, a) for a, _ in extra]
     table: dict[tuple[float, float], list[tuple[float, float]]] = {}  # panel -> each row's pair
     results: list[QuadratureResult | None] = [None] * rows
@@ -342,13 +369,13 @@ def integrate_semi_infinite_rows(
         new = [panel for panel in dict.fromkeys(wanted) if panel not in table]
         if new:
             try:
-                table.update(_row_panels(f, rows, new, lo, length))
+                table.update(_row_panels(f, rows, new, tail))
             except (ArithmeticError, ValueError):
                 if not extra:
                     raise
                 # A prefetched panel failed, maybe where no row asks: drop the prefetch.
                 asked = set(itertools.chain(*(requests[k] for k in live)))
-                table.update(_row_panels(f, rows, [p for p in new if p in asked], lo, length))
+                table.update(_row_panels(f, rows, [p for p in new if p in asked], tail))
         extra = []
         running = []
         for k in live:
@@ -362,17 +389,23 @@ def integrate_semi_infinite_rows(
     return results
 
 
-def _row_panels(f, rows: int, panels: list[tuple[float, float]], lo: float, length: float):
+def _row_panels(f, rows: int, panels: list[tuple[float, float]], tail):
     """(panel, [(Kronrod value, error estimate) of each row]) for every
-    panel, from one f call on the tail map's lags."""
+    panel, from one f call on the panels' lags: the abscissae themselves, or
+    their images under the tail map ``tail`` = (lo, L)."""
     panels = sorted(panels, key=lambda panel: panel[0] == panel[1])  # the points last
     xs = np.array([x for a, b in panels for x in _nodes(a, b)])
-    one_minus = 1.0 - xs
-    inside = one_minus > 0.0  # an x rounded to 1.0 maps to no lag
-    lags = lo + length * xs[inside] / one_minus[inside]
     values = np.zeros((rows, len(xs)))
-    if lags.size:
-        values[:, inside] = f(lags) * length / (one_minus[inside] * one_minus[inside])
+    if tail is None:
+        inside, lags = slice(None), xs
+        values[:] = f(lags)
+    else:
+        lo, length = tail
+        one_minus = 1.0 - xs
+        inside = one_minus > 0.0  # an x rounded to 1.0 maps to no lag
+        lags = lo + length * xs[inside] / one_minus[inside]
+        if lags.size:
+            values[:, inside] = f(lags) * length / (one_minus[inside] * one_minus[inside])
     finite = np.isfinite(values).all(axis=0)
     if not finite.all():
         t = float(lags[~finite[inside]][0])  # the points outside hold 0

@@ -9,13 +9,15 @@ far tail), and Owen's T function
 
     T(h, a) = (1/2pi) * integral_0^a exp(-h^2 (1+t^2)/2) / (1+t^2) dt
 
-from :func:`scipy.special.owens_t` (Patefield & Tandy 2000).  This module
-holds no numerical code of its own; it is the one place the package and
-its tests take these functions from.
+from :func:`scipy.special.owens_t` (Patefield & Tandy 2000); and the beta
+function ``beta`` with its regularized incomplete form ``betainc``
+(:mod:`scipy.special`), which give the power-law kernel's tail integral.
+This module holds no numerical code of its own; it is the one place the
+package and its tests take these functions from.
 """
 
 from math import erf, erfc
 
-from scipy.special import owens_t
+from scipy.special import beta, betainc, owens_t
 
-__all__ = ["erf", "erfc", "owens_t"]
+__all__ = ["beta", "betainc", "erf", "erfc", "owens_t"]

@@ -50,6 +50,13 @@ class TestStats:
         fields = dict(line.split(None, 1) for line in out.strip().splitlines())
         assert float(fields["mean_rate"]) == pytest.approx(0.31831, abs=1e-5)
 
+    @pytest.mark.parametrize("zeta", ["1e6", "1e7"])
+    def test_extreme_damping_converges(self, capsys, zeta):
+        # r - r0 formed as a difference lost D_beta's sign at t = 5.09e-08 (exit 2).
+        code, out, _ = run(capsys, "stats", "--kernel", "sdho", "--zeta", zeta, "--json")
+        assert code == EXIT_OK
+        assert json.loads(out)["converged"] is True
+
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "stats", "--kernel", "se", "--u", "0.7", "--json")
         assert code == EXIT_OK

@@ -6,8 +6,11 @@ forms are compared against them.
 """
 
 import itertools
+import json
 import math
+import os
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given
@@ -206,7 +209,7 @@ class TestWeakExpansion:
             r, p, q = rng.uniform(-1, 1, 3) * level * np.array([r0, math.sqrt(r0 * q0), q0])
             u = rng.uniform(-3, 3) * math.sqrt(r0)
             kernel = type("Stub", (), {"r0": r0, "q0": q0})()
-            d = KernelDerivatives(r, p, q, 1.0)
+            d = KernelDerivatives(r, p, q, 1.0, r - r0)
             for total in (False, True):
                 assert crossings._linearized(kernel, u, d, total) == pytest.approx(
                     _matrix_expansion(r0, q0, u, d, total), rel=1e-12, abs=0.0
@@ -244,8 +247,8 @@ class _Overshoot(SquaredExponentialKernel):
     validity gate (which checks the lags below 0.1) still passes."""
 
     def _rpq(self, t, *xp):
-        r, p, q = super()._rpq(t, *xp)
-        return r * (1.0 + 0.5 * (t > 0.15)), p, q
+        r, p, q, rm = super()._rpq(t, *xp)
+        return r * (1.0 + 0.5 * (t > 0.15)), p, q, rm + 0.5 * r * (t > 0.15)
 
 
 def _raised(call):
@@ -718,9 +721,119 @@ class TestPowerLawTails:
             assert all(st.quad_converged for st in stats)
 
 
-def _float_zero(kernel, mode):
-    """The zero-level long-time statistics on the float path."""
-    return crossings._float_stats(kernel, 0.0, CrossingMode(mode), None, None, crossings._zero_excess)
+def _tail_reference():
+    with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                           "tail_reference.json")) as fh:
+        return json.load(fh)["cases"]
+
+
+class TestLinearTail:
+    """Past t_s = 32 tau_slow a long-time level integrates I - Lin, and
+    int_{t_s}^inf Lin joins in closed form."""
+
+    @pytest.mark.parametrize("case", _tail_reference(), ids=lambda case: case["case"])
+    def test_power_law_rates_match_reference(self, case):
+        # tests/data/make_tail_reference.py: QUADPACK to 1e7 tau, then the tail.
+        _, alpha, u, mode = case["case"].split()
+        kernel = make_rational_quadratic(1.0, 1.0, float(alpha.split("=")[1]))
+        st = variance_rate_asymptotic(kernel, float(u.split("=")[1]), mode)
+        ref = case["values"]
+        assert st.quad_converged and st.mean == ref["mean"]
+        assert abs(st.variance - ref["variance"]) <= st.quad_error + ref["error"]
+        if alpha == "alpha=0.55":  # the slowest tail here, t^-1.1: 1e-9 relative too
+            assert abs(st.variance - ref["variance"]) <= 1e-9 * ref["variance"]
+
+    @pytest.mark.parametrize("mode", ["up", "total"])
+    def test_power_law_row_takes_few_panel_calls(self, mode, monkeypatch):
+        # 54 calls up and 49 total if the tail map meets the t^-1.5 tail.
+        kernel = make_rational_quadratic(1.0, 1.0, 0.75)
+        calls = []
+        original = crossings._panel
+        monkeypatch.setattr(crossings, "_panel", lambda *args: calls.append(args) or original(*args))
+        row = variance_rate_asymptotic(kernel, [0.25 * k for k in range(9)], mode)
+        assert 1 <= len(calls) <= 10
+        assert all(st.quad_converged for st in row)
+
+    @pytest.mark.parametrize("kernel", [k for k in STATS_MIX if k.family != "rational_quadratic"],
+                             ids=repr)
+    def test_exponential_tails_move_by_rounding(self, kernel, monkeypatch):
+        # Without Lin (no subtraction, no closed form) a level integrates I
+        # to the end, as before; e^-32 leaves the difference at rounding.
+        levels = [0.0, 0.5, 1.5]
+        for mode in ("up", "total"):
+            got = variance_rate_asymptotic(kernel, levels, mode)
+            with monkeypatch.context() as patch:
+                patch.setattr(crossings, "_linear_terms",
+                              lambda k, lv, total: ([0.0] * lv.size, [0.0] * lv.size))
+                plain = variance_rate_asymptotic(kernel, levels, mode)
+            for a, b in zip(got, plain):
+                assert abs(a.variance - b.variance) <= 1e-12 * b.variance
+
+    def test_linear_term_is_the_expansions_first_order(self):
+        # Lin is _linearized's part linear in (r, p, q): scaling every
+        # correlation by eps scales it by eps, and the rest is second order.
+        kernel = make_sdho(1.3, 0.7, 0.9)
+        d = kernel.eval(kernel.tau_slow)  # correlations of order 0.1
+        for total in (False, True):
+            for u in (0.0, 0.4, -1.1):
+                lin = crossings._linear(kernel, np.array([[u]]), total, d.r, d.q)[0, 0]
+                for eps in (1e-5, 1e-6):
+                    small = KernelDerivatives(eps * d.r, eps * d.p, eps * d.q, d.t, math.nan)
+                    full = crossings._linearized(kernel, u, small, total)
+                    assert abs(full - eps * lin) <= 10.0 * eps * eps * kernel.q0 / kernel.r0
+
+
+class TestBiExponentialDifference:
+    """r - r0 of the two-rate form without cancellation: D_alpha and D_beta
+    at direct lags keep their digits as the rates part."""
+
+    @staticmethod
+    def _reference(kernel, t):
+        """(D_alpha, D_beta) at 60 digits from the kernel's own float rates."""
+        with mp.workdps(60):
+            amp, slow, gap = (mp.mpf(x) for x in kernel._rates)
+            fast, t = slow + gap, mp.mpf(t)
+            e_slow, e_fast = mp.exp(-slow * t), mp.exp(-fast * t)
+            r = amp * (fast * e_slow - slow * e_fast) / gap
+            p = amp * slow * fast * (e_fast - e_slow) / gap
+            q = amp * slow * fast * (fast * e_fast - slow * e_slow) / gap
+            r0, q0 = mp.mpf(kernel.r0), mp.mpf(kernel.q0)
+            return p * p + (q - q0) * (r + r0), p * p + (q + q0) * (r - r0)
+
+    @pytest.mark.parametrize("kernel", [
+        *(make_sdho(1.0, zeta, 1.0) for zeta in (25.0, 1e3, 1e5, 1e6, 1e7)),
+        *(make_ou_mean_revert(1.0, kappa, 1.0) for kappa in (1e-4, 1e-2, 1e2)),
+    ], ids=repr)
+    def test_denominators_against_mpmath(self, kernel):
+        # Measured worst: 1.4e-15 in D_alpha and 3.4e-13 in D_beta, whose
+        # two terms cancel at leading order.  With r - r0 formed as a
+        # difference D_beta is 3.8e-2 off at zeta = 1e5 and loses its sign
+        # from zeta = 1e6.
+        ts = np.geomspace(0.1, 10.0, 9) * kernel.series_scale
+        groups, _ = crossings._lags(kernel, ts)
+        [(cols, (alpha, beta, _, _, rr_diff, _, rp))] = groups
+        d_alpha, d_beta = -rp / (2.0 * alpha), -rr_diff / rp / (2.0 * beta)
+        for t, got in zip(ts.tolist(), zip(d_alpha.tolist(), d_beta.tolist())):
+            for value, want in zip(got, self._reference(kernel, t)):
+                assert abs(value - want) <= 1e-12 * abs(want), t
+
+    def test_large_damping_converges(self):
+        # F/zeta settles at 0.53593 from zeta = 1e3 on; with r - r0 formed as
+        # a difference, zeta = 1e6 and 1e7 raised DegenerateLagError.
+        rates = [fano(make_sdho(1.0, zeta, 1.0), 0.5) / zeta for zeta in (1e5, 1e6, 1e7)]
+        assert rates[1:] == pytest.approx([rates[0]] * 2, rel=1e-5)
+        assert rates[0] == pytest.approx(0.53593, abs=1e-5)
+
+    def test_tiny_power_law_shape_window_converges(self):
+        # At alpha_shape = 1e-12, 1 - r/r0 is 1.4e-14 just above the switch
+        # lag; formed as a difference it lost D_beta's sign at t = 1.65e-7.
+        st = variance_count(make_rational_quadratic(1.0, 1.0, 1e-12), 0.0, 10.0)
+        assert st.quad_converged and st.variance > 0.0
+
+
+def _float_zero(kernel, mode, T=None):
+    """The zero-level statistics on the float path, long-time or over T."""
+    return crossings._float_stats(kernel, 0.0, CrossingMode(mode), T, None, crossings._zero_excess)
 
 
 class TestZeroLevel:
@@ -803,6 +916,78 @@ class TestZeroLevel:
         assert expected[0] is crossings.DegenerateLagError
         assert expected[1].startswith("r0^2 - r^2 = -1.1288")
         assert _raised(lambda: zero_level_stats(kernel, None, mode)) == expected
+
+
+class TestZeroLevelWindows:
+    """A windowed zero-level statistic is a row of one on the lockstep
+    driver's finite range, weighted by 1 - t/T, with the float path's value,
+    error bar, evaluation count and exceptions."""
+
+    @pytest.mark.parametrize("kernel", STATS_MIX, ids=repr)
+    @pytest.mark.parametrize("mode", ["up", "total"])
+    def test_row_of_one_equals_float_path(self, kernel, mode, monkeypatch):
+        def never(*args):
+            raise AssertionError("the float path was taken")
+
+        calls = []
+        original = crossings._panel
+        monkeypatch.setattr(crossings, "_panel", lambda *args: calls.append(args) or original(*args))
+        monkeypatch.setattr(crossings, "_float_stats", never)
+        monkeypatch.setattr(crossings, "_integrand_zero", never)
+        horizons = [m * kernel.tau_slow for m in (0.01, 3.0, 100.0)]
+        stats = [zero_level_stats(kernel, T, mode) for T in horizons]
+        assert calls and all(args[1].tolist() == [[0.0]] and args[4] is crossings._zero_excess
+                              for args in calls)
+        monkeypatch.undo()
+        assert [repr(st) for st in stats] == [repr(_float_zero(kernel, mode, T)) for T in horizons]
+
+    @pytest.mark.parametrize("mode", ["up", "total"])
+    def test_failing_lag_the_level_never_asks_for_keeps_the_result(self, mode, monkeypatch):
+        # A round-0 stub lag that the level never asks for: the row's first
+        # round fails there, drops the prefetch, and keeps the statistic.
+        kernel = make_ou_mean_revert(1.0, 0.3, 1.0)
+        T = 3.0 * kernel.tau_slow
+        expected = repr(_float_zero(kernel, mode, T))
+        asked, evaluated = [], []
+        zero, panel = crossings._integrand_zero, crossings._panel
+        with monkeypatch.context() as patch:
+            patch.setattr(crossings, "_integrand_zero",
+                          lambda k, t, total: asked.append(t) or zero(k, t, total))
+            _float_zero(kernel, mode, T)
+        with monkeypatch.context() as patch:
+            patch.setattr(crossings, "_panel", lambda k, lv, ts, *form: evaluated.extend(ts.tolist())
+                          or panel(k, lv, ts, *form))
+            zero_level_stats(kernel, T, mode)
+        spare = [t for t in evaluated if t not in set(asked)]
+        assert spare  # round 0 evaluates more than the level asks for
+
+        hits = []
+
+        def array_panel(k, levels, ts, *form):
+            values = panel(k, levels, ts, *form)
+            values[:, np.asarray(ts) == spare[0]] = math.nan
+            hits.append(math.isnan(values.sum()))
+            return values
+
+        monkeypatch.setattr(crossings, "_panel", array_panel)
+        assert repr(crossings._row(kernel, (0.0,), CrossingMode(mode), None,
+                                   crossings._zero_excess, T)[0]) == expected
+        assert hits[0] and not any(hits[1:])  # only round 0's prefetch held the NaN
+        assert repr(zero_level_stats(kernel, T, mode)) == expected
+
+    @pytest.mark.parametrize("mode", ["up", "total"])
+    def test_degenerate_lag_raises_float_path_error(self, mode):
+        kernel = _Overshoot(1.0, 1.0)
+        expected = _raised(lambda: _float_zero(kernel, mode, 3.0))
+        assert expected[0] is crossings.DegenerateLagError
+        assert expected[1].startswith("r0^2 - r^2 = -1.")
+        assert _raised(lambda: zero_level_stats(kernel, 3.0, mode)) == expected
+
+    @pytest.mark.parametrize("T", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_horizon_raises_float_path_error(self, T):
+        expected = _raised(lambda: _float_zero(SDHO, "up", T))
+        assert expected[0] is ValueError
+        assert _raised(lambda: zero_level_stats(SDHO, T, "up")) == expected
 
 
 class TestDimensionless:

@@ -165,32 +165,38 @@ def _two_rate_reference(amp, slow, fast, t):
             scale * fast * slow * (fast * e_fast - slow * e_slow))
 
 
-def mpmath_reference(kernel, t):
+def _mp_rpq(kernel, t):
     """(r, p, q) of a kernel at lag t from its parameters, analytically in
-    mpmath at 60 digits.  Both rates of the oscillator are complex below
-    critical damping; at critical damping and at kappa = 1 the limit form is
-    taken, so no perturbed parameter meets a cancelling reference."""
+    mpmath at the working precision.  Both rates of the oscillator are
+    complex below critical damping; at critical damping and at kappa = 1 the
+    limit form is taken, so no perturbed parameter meets a cancelling
+    reference."""
+    t = mp.mpf(t)
+    par = {name: mp.mpf(value) for name, value in kernel.params.items()}
+    if kernel.family == "sdho":
+        w, z = par["omega0"], par["zeta"]
+        root = mp.sqrt(mp.mpc(z * z - 1))
+        rpq = _two_rate_reference(par["theta"] / (w * w), w * (z - root), w * (z + root), t)
+    elif kernel.family == "ou_mean_revert":
+        tf, te = par["tau_f"], par["tau_e"]
+        amp = par["sigma"] ** 2 * tf / (tf + te)
+        rpq = _two_rate_reference(amp, 1 / max(tf, te), 1 / min(tf, te), t)
+    elif kernel.family == "rational_quadratic":
+        s2, tau2, a = par["sigma"] ** 2, par["tau"] ** 2, par["alpha_shape"]
+        base = 1 + t * t / (2 * a * tau2)
+        rpq = (s2 * base**-a, -s2 * t / tau2 * base ** (-a - 1),
+               s2 / tau2 * base ** (-a - 2) * (base - (a + 1) * t * t / (a * tau2)))
+    else:
+        s2, tau2 = par["sigma"] ** 2, par["tau"] ** 2
+        r = s2 * mp.exp(-t * t / (2 * tau2))
+        rpq = (r, -r * t / tau2, r * (1 / tau2 - t * t / (tau2 * tau2)))
+    return tuple(mp.re(v) for v in rpq)
+
+
+def mpmath_reference(kernel, t):
+    """``_mp_rpq`` at 60 digits, as floats."""
     with mp.workdps(60):
-        t = mp.mpf(t)
-        par = {name: mp.mpf(value) for name, value in kernel.params.items()}
-        if kernel.family == "sdho":
-            w, z = par["omega0"], par["zeta"]
-            root = mp.sqrt(mp.mpc(z * z - 1))
-            rpq = _two_rate_reference(par["theta"] / (w * w), w * (z - root), w * (z + root), t)
-        elif kernel.family == "ou_mean_revert":
-            tf, te = par["tau_f"], par["tau_e"]
-            amp = par["sigma"] ** 2 * tf / (tf + te)
-            rpq = _two_rate_reference(amp, 1 / max(tf, te), 1 / min(tf, te), t)
-        elif kernel.family == "rational_quadratic":
-            s2, tau2, a = par["sigma"] ** 2, par["tau"] ** 2, par["alpha_shape"]
-            base = 1 + t * t / (2 * a * tau2)
-            rpq = (s2 * base**-a, -s2 * t / tau2 * base ** (-a - 1),
-                   s2 / tau2 * base ** (-a - 2) * (base - (a + 1) * t * t / (a * tau2)))
-        else:
-            s2, tau2 = par["sigma"] ** 2, par["tau"] ** 2
-            r = s2 * mp.exp(-t * t / (2 * tau2))
-            rpq = (r, -r * t / tau2, r * (1 / tau2 - t * t / (tau2 * tau2)))
-        return tuple(float(mp.re(v)) for v in rpq)
+        return tuple(float(v) for v in _mp_rpq(kernel, t))
 
 
 MPMATH_KERNELS = [
@@ -215,6 +221,70 @@ class TestKernelsAgainstMpmath:
                 assert abs(value - want) <= 1e-15 * scale, (name, t)
 
 
+    @pytest.mark.parametrize("kernel", MPMATH_KERNELS)
+    def test_r_minus_r0_relative(self, kernel):
+        # rm = r - r0 keeps its relative accuracy where the statistics read
+        # it, at and past the switch lag 0.1 series_scale, where |r - r0| is
+        # down to 1e-7 of r0 here (sdho zeta = 100).  Measured worst: 5.7e-15
+        # for the two-rate, rq and se forms, which avoid the difference, and
+        # 5.2e-14 for the circular form (r - r0 itself, at most a few
+        # hundred ulps there).  The reference subtracts its own r(0), so the
+        # rounding of r0 from the parameters does not count.
+        circular = kernel.family == "sdho" and kernel.zeta < 1.0
+        lags = (np.geomspace(0.1, 1e3, 60) * kernel.series_scale).tolist()
+        for t in lags:
+            with mp.workdps(60):
+                want = float(_mp_rpq(kernel, t)[0] - _mp_rpq(kernel, 0.0)[0])
+            assert abs(kernel.eval(t).rm - want) <= (1e-13 if circular else 1e-14) * abs(want), t
+
+
+class TestTailIntegral:
+    """R(t) = int_t^inf r(s) ds in closed form, against mpmath quadrature of
+    the analytic r, within 1e-13 of int_t^inf |r|."""
+
+    @pytest.mark.parametrize("kernel", [
+        make_sdho(1.3, 0.3, 0.7), make_sdho(1.0, 0.7, 1.0), make_sdho(1.0, 1.0, 1.0),
+        make_sdho(1.3, 2.0, 0.7), make_sdho(1.0, 25.0, 1.0), make_ou_mean_revert(1.2, 0.3, 0.8),
+        make_ou_mean_revert(1.0, 1.0, 1.0), make_ou_mean_revert(1.0, 100.0, 1.0),
+        make_rational_quadratic(1.2, 0.9, 0.75), make_rational_quadratic(1.0, 1.0, 2.0),
+        make_squared_exponential(1.1, 0.7),
+    ], ids=repr)
+    def test_matches_mpmath_quadrature(self, kernel):
+        tau = kernel.tau_slow
+        r = lambda s: _mp_rpq(kernel, s)[0]  # noqa: E731
+        if kernel.family == "sdho" and kernel.zeta < 1.0:  # the real circular form
+            w, z = mp.mpf(kernel.omega0), mp.mpf(kernel.zeta)
+            zw, wd = z * w, w * mp.sqrt(1 - z * z)
+            r = lambda s: (mp.mpf(kernel.theta) / (w * w) * mp.exp(-zw * s)  # noqa: E731
+                           * (mp.cos(wd * s) + zw * mp.sin(wd * s) / wd))
+        for m in (0.0, 0.5, 3.0, 8.0):
+            t = m * tau
+            with mp.workdps(25):
+                # Panels that grow from tau_slow/64 by fours, then the tail to inf.
+                points = [mp.mpf(t)] + [t + mp.mpf(tau) * 4**j for j in range(-3, 8)] + [mp.inf]
+                want = mp.quad(r, points)
+                # int_t^inf |r|, or for the oscillator a bound on it from r's envelope.
+                scale = (kernel.r0 * math.exp(-t / tau) * (1.0 + 1.0 / (tau * kernel._omega_d)) * tau
+                         if kernel.family == "sdho" and kernel.zeta < 1.0 else want)
+            assert abs(kernel.tail_integral(t) - want) <= 1e-13 * scale, (kernel, m)
+
+    def test_slow_power_law_matches_mpmath_betainc(self):
+        # At alpha = 0.55 the tail decays like t^-1.1, past what mpmath's
+        # quadrature resolves, so scipy's betainc at a = 0.05 is checked
+        # against mpmath's at 40 digits, out to 1e7 tau.
+        kernel = make_rational_quadratic(1.2, 0.9, 0.55)
+        for t in (0.0, 0.45, 2.7, 28.8, 9e6):
+            with mp.workdps(40):
+                a, c = mp.mpf(0.55), 2 * mp.mpf(0.55) * mp.mpf(0.9) ** 2
+                want = mp.mpf(1.2) ** 2 / 2 * mp.sqrt(c) * mp.betainc(a - 0.5, 0.5, 0, 1 / (1 + t * t / c))
+            assert abs(kernel.tail_integral(t) - want) <= 1e-14 * want, t
+
+    @pytest.mark.parametrize("alpha", [1e-12, 0.3, 0.5])
+    def test_divergent_power_law_is_infinite(self, alpha):
+        kernel = make_rational_quadratic(1.0, 1.0, alpha)
+        assert kernel.tail_integral(0.0) == kernel.tail_integral(32.0) == math.inf
+
+
 class _WrongA4(SquaredExponentialKernel):
     """The squared exponential with its series' a_4 1% off."""
 
@@ -229,9 +299,9 @@ class _Sloped(SquaredExponentialKernel):
     alike: a one-sided series with a_1 = -0.01."""
 
     def _rpq(self, t, *xp):
-        r, p, q = super()._rpq(t, *xp)
+        r, p, q, _ = super()._rpq(t, *xp)
         s = 1.0 - 0.01 * t
-        return r * s, p * s - 0.01 * r, q * s + 0.02 * p
+        return r * s, p * s - 0.01 * r, q * s + 0.02 * p, r * s - self.r0
 
     def _taylor_coefficients(self):
         a = super()._taylor_coefficients()

@@ -10,6 +10,7 @@ from levelcross.quadrature import (
     IntegrationError,
     QuadratureSpec,
     integrate_finite,
+    integrate_finite_rows,
     integrate_semi_infinite_rows,
     pointwise,
 )
@@ -198,6 +199,46 @@ class TestSemiInfiniteRows:
             integrate_semi_infinite_rows(rows, 1, 10.0, open_left=1e-7)
         assert err.value.abscissa > 10.0
         assert str(err.value) == f"non-finite integrand value at t={err.value.abscissa!r}"
+
+
+class TestFiniteRows:
+    """The lockstep driver on a finite range: each row's result is
+    integrate_finite's on that row's integrand, bit for bit, errors too."""
+
+    RATES = (0.25, 1.0, 3.0, 40.0)
+
+    @staticmethod
+    def _rows(ts, rates=np.array(RATES)[:, None]):
+        return 1.0 / ((1.0 + rates * ts) * (1.0 + rates * ts)) + np.sin(ts) * ts ** -0.5
+
+    @pytest.mark.parametrize("spec", [None, QuadratureSpec(rel_tol=1e-6, max_subdivisions=5)])
+    @pytest.mark.parametrize("open_left", [None, 1e-7])
+    def test_rows_equal_integrate_finite(self, spec, open_left):
+        calls = []
+        options = {"open_left": open_left, "breakpoints": (0.5, 2.0, 8.0)}
+        got = integrate_finite_rows(lambda ts: calls.append(ts) or self._rows(ts), len(self.RATES),
+                                    0.0, 30.0, spec, **options)
+        expected = [integrate_finite(lambda nodes, c=c: self._rows(np.array(nodes), c)[0].tolist(),
+                                     0.0, 30.0, spec, **options) for c in np.array(self.RATES)[:, None, None]]
+        assert got == expected
+        assert len(calls) < sum(r.evaluations for r in expected) // 15
+
+    @pytest.mark.parametrize("bad", [0.3, 5.0])
+    def test_nonfinite_value_raises_integrate_finites_error(self, bad):
+        def rows(ts):
+            return np.where(ts > bad, math.nan, self._rows(ts))
+
+        with pytest.raises(IntegrationError) as want:
+            integrate_finite(lambda nodes: rows(np.array(nodes))[1].tolist(), 0.0, 30.0,
+                             open_left=1e-7)
+        with pytest.raises(IntegrationError) as got:
+            integrate_finite_rows(rows, len(self.RATES), 0.0, 30.0, open_left=1e-7)
+        assert (str(got.value), got.value.abscissa) == (str(want.value), want.value.abscissa)
+
+    def test_bad_interval_and_no_rows(self):
+        with pytest.raises(ValueError, match="need lo < hi"):
+            integrate_finite_rows(lambda ts: ts[None], 1, 1.0, 1.0)
+        assert integrate_finite_rows(lambda ts: 1 / 0, 0, 0.0, 1.0, open_left=1e-7) == []
 
 
 class TestErrorHonesty:
